@@ -51,19 +51,19 @@ def main() -> int:
     (out / "scale.json").write_text(json.dumps(scale, indent=2))
     clock = time.perf_counter()
 
-    print(f"[1/6] training DQN for {scale['dqn_episodes']} episodes")
+    print(f"[1/7] training DQN for {scale['dqn_episodes']} episodes")
     dqn = learning.train(
         "dqn", episodes=scale["dqn_episodes"], seed=args.seed,
         checkpoint_every=max(1, scale["dqn_episodes"] // 10),
         out_dir=out / "train_dqn",
     )
-    print(f"[2/6] training PPO for {scale['ppo_episodes']} episodes")
+    print(f"[2/7] training PPO for {scale['ppo_episodes']} episodes")
     ppo = learning.train(
         "ppo", episodes=scale["ppo_episodes"], seed=args.seed,
         checkpoint_every=max(1, scale["ppo_episodes"] // 10),
         out_dir=out / "train_ppo",
     )
-    print("[3/6] selecting best checkpoints on validation win rate")
+    print("[3/7] selecting best checkpoints on validation win rate")
     dqn_best = learning.checkpoint_select(
         dqn.checkpoint_paths, rounds=scale["validation_rounds"], seed=args.seed
     )
@@ -94,11 +94,11 @@ def main() -> int:
         ),
     }
     for step, (name, config) in enumerate(runs.items(), start=4):
-        print(f"[{step}/6] {name} tournament ({config.rounds} rounds)")
+        print(f"[{step}/7] {name} tournament ({config.rounds} rounds)")
         result = arena.run_tournament(config)
         write_artifacts(result, out / name, f"{name} tournament")
 
-    print("[6/6] cross-category championship")
+    print("[7/7] cross-category championship")
     champ = arena.TournamentConfig(
         agents=[
             "aggressive",

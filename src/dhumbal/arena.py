@@ -1,8 +1,10 @@
 """Tournament orchestration for Dhumbal agents.
 
 Plays complete rounds between any mix of agents (rule-based, search,
-learning, random, human), timing every decision with a monotonic clock,
-and aggregates the results into metric summaries. Coin balances persist
+learning, random, human): each decision is asked of the agent for the
+phase at hand, timed with a monotonic clock, and applied with
+``engine.step``, which also reports when the round ends. The results
+are aggregated into metric summaries. Coin balances persist
 across a tournament's rounds; hands are redealt every round. Sequential
 execution reproduces records bit-for-bit (timing aside) from (config,
 seed); the optional worker pool derives per-round seeds as seed + round
@@ -24,42 +26,26 @@ from typing import Optional, Sequence, Union
 from . import analytics
 from .engine import (
     DiscardGroup,
-    JHYAP_THRESHOLD,
+    JhyapAction,
     Observation,
     Phase,
     PickSource,
-    apply_discard,
-    apply_pick,
     can_declare_jhyap,
     deal,
     hand_value,
+    legal_actions,
     observation_for,
     random_discard_group,
-    resolve_jhyap,
     round_termination,
-    skip_jhyap,
+    step,
 )
-from .heuristics import PROFILES, HeuristicAgent, make_profile
+from .heuristics import PROFILES, HeuristicAgent, HeuristicProfile, make_profile
 from .learning import RLAgent
-from .search import JhyapAction, SearchAgent, SearchConfig
-
-
-def random_decide(observation: Observation, rng: random.Random):
-    """Uniform choice among the phase's legal actions."""
-    if observation.phase is Phase.JHYAP_CHECK:
-        if observation.hand_value <= JHYAP_THRESHOLD:
-            return (
-                JhyapAction.DECLARE if rng.random() < 0.5 else JhyapAction.DECLINE
-            )
-        return JhyapAction.DECLINE
-    if observation.phase is Phase.DISCARD:
-        return random_discard_group(observation.own_hand, rng)
-    sources = observation.legal_pick_sources()
-    return sources[rng.randrange(len(sources))]
+from .search import SearchAgent, SearchConfig
 
 
 class RandomAgent:
-    """The uniform baseline."""
+    """The uniform baseline: a uniform choice among the legal actions."""
 
     name = "random"
 
@@ -70,7 +56,7 @@ class RandomAgent:
         pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
-        return random_decide(observation, rng) is JhyapAction.DECLARE
+        return can_declare_jhyap(observation.own_hand) and rng.random() < 0.5
 
     def decide_discard(
         self, observation: Observation, rng: random.Random
@@ -78,11 +64,17 @@ class RandomAgent:
         return random_discard_group(observation.own_hand, rng)
 
     def decide_pick(self, observation: Observation, rng: random.Random) -> PickSource:
-        sources = observation.legal_pick_sources()
+        sources = legal_actions(observation)
         return sources[rng.randrange(len(sources))]
 
 
 SEARCH_KINDS = ("mcts", "ismcts")
+
+
+def _reject_unknown_options(kind: str, options: dict, known) -> None:
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise ValueError(f"unknown options for a {kind!r} agent: {unknown}")
 
 
 def build_agent(spec: Union[str, dict]):
@@ -90,22 +82,27 @@ def build_agent(spec: Union[str, dict]):
 
     Strings name stock agents ("aggressive", "random", "ismcts", ...);
     dicts add options: heuristic profile overrides, SearchConfig fields,
-    or a required checkpoint path for "dqn"/"ppo".
+    or a required checkpoint path for "dqn"/"ppo". An unknown kind or
+    option raises ValueError.
     """
     if isinstance(spec, str):
         spec = {"kind": spec}
     spec = dict(spec)
-    kind = spec.pop("kind")
+    kind = spec.pop("kind", None)
     if kind == "heuristic":
-        kind = spec.pop("profile")
+        kind = spec.pop("profile", None)
     if kind in PROFILES:
+        _reject_unknown_options(kind, spec, HeuristicProfile.__dataclass_fields__)
         return HeuristicAgent(make_profile(kind, **spec))
     if kind == "random":
+        _reject_unknown_options(kind, spec, ())
         return RandomAgent()
     if kind in SEARCH_KINDS:
+        _reject_unknown_options(kind, spec, SearchConfig.__dataclass_fields__)
         return SearchAgent(kind, SearchConfig(**spec)) if spec else SearchAgent(kind)
     if kind in ("dqn", "ppo"):
         checkpoint = spec.pop("checkpoint", None)
+        _reject_unknown_options(kind, spec, ())
         if checkpoint is None:
             raise ValueError(
                 f"{kind!r} agent needs a 'checkpoint' path; refusing to play "
@@ -140,6 +137,10 @@ class TournamentConfig:
             raise ValueError("rounds must be >= 1")
         if self.seating not in ("random", "fixed"):
             raise ValueError("seating must be 'random' or 'fixed'")
+        if self.turn_limit < 1:
+            raise ValueError("turn_limit must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def to_doc(self) -> dict:
         return {
@@ -250,36 +251,28 @@ def run_round(
                 agent.observe(event)
         state.events.clear()
 
-    outcome = None
+    outcome = round_termination(state)
     while outcome is None:
-        outcome = round_termination(state)
-        if outcome is not None:
-            break
         seat = state.current_player
         agent_index = agent_of_seat[seat]
         agent = agents[agent_index]
         obs = observation_for(state, seat)
-        if can_declare_jhyap(obs.own_hand) and timed(
-            agent_index, agent.decide_jhyap, obs
-        ):
-            jhyap_agent = agent_index
-            jhyap_value = obs.hand_value
-            outcome = resolve_jhyap(state)
-            break
-        skip_jhyap(state)
-        obs = observation_for(state, seat)
-        group = timed(agent_index, agent.decide_discard, obs)
-        apply_discard(state, group)
-        cards_discarded[agent_index] += len(group.cards)
-        rewards[agent_index] += 1.0
-        broadcast()
-        outcome = round_termination(state)
-        if outcome is not None:
-            break
-        obs = observation_for(state, seat)
-        source = timed(agent_index, agent.decide_pick, obs)
-        apply_pick(state, source)
-        rewards[agent_index] += 1.0
+        if state.phase is Phase.JHYAP_CHECK:
+            action = JhyapAction.DECLINE
+            if can_declare_jhyap(obs.own_hand) and timed(
+                agent_index, agent.decide_jhyap, obs
+            ):
+                action = JhyapAction.DECLARE
+                jhyap_agent = agent_index
+                jhyap_value = obs.hand_value
+        elif state.phase is Phase.DISCARD:
+            action = timed(agent_index, agent.decide_discard, obs)
+            cards_discarded[agent_index] += len(action.cards)
+            rewards[agent_index] += 1.0
+        else:
+            action = timed(agent_index, agent.decide_pick, obs)
+            rewards[agent_index] += 1.0
+        outcome = step(state, action)
         broadcast()
 
     delta_by_agent = [0] * n_agents

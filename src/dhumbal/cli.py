@@ -14,13 +14,16 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 from . import analytics, arena, learning
 from .engine import (
     GameError,
     JHYAP_THRESHOLD,
     enumerate_legal_discards,
+    legal_actions,
     Discarded,
+    PickSource,
     PickedStock,
     PickedTop,
     Reshuffled,
@@ -122,7 +125,12 @@ def _tournament_config(args) -> arena.TournamentConfig:
     if args.config is not None:
         if not args.config.exists():
             raise DataError(f"config file not found: {args.config}")
-        doc = json.loads(args.config.read_text())
+        try:
+            doc = json.loads(args.config.read_text())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"config file {args.config} is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"config file {args.config} must hold a JSON object")
     if args.command == "championship":
         agents = [
             "aggressive",
@@ -158,7 +166,18 @@ def _tournament_config(args) -> arena.TournamentConfig:
         doc["seating"] = args.seating
     if args.workers != 1:
         doc["workers"] = args.workers
-    return arena.TournamentConfig.from_doc(doc)
+    try:
+        return arena.TournamentConfig.from_doc(doc)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"bad tournament config: {exc}") from exc
+
+
+def _build_agents(specs) -> list:
+    """Agents for config entries; a bad entry or checkpoint is a data error."""
+    try:
+        return [arena.build_agent(spec) for spec in specs]
+    except (ValueError, TypeError, OSError) as exc:
+        raise DataError(f"bad agent entry: {exc}") from exc
 
 
 def _require_checkpoint(args) -> Path:
@@ -172,23 +191,26 @@ def _require_checkpoint(args) -> Path:
     return args.checkpoint
 
 
-def summary_to_doc(result: arena.TournamentResult) -> dict:
-    return {
-        "config": result.config.to_doc(),
-        "agents": result.names,
-        "rounds": result.summary.rounds,
-        "draws": result.summary.draws,
-        "final_balances": result.final_balances,
-        "metrics": [asdict(a) for a in result.summary.agents],
-    }
+def write_summary_json(
+    path: Path,
+    summary: analytics.MetricsSummary,
+    names,
+    result: Optional[arena.TournamentResult] = None,
+) -> None:
+    """The summary document; a tournament result adds its config and final
+    balances, which stored records alone cannot give."""
+    doc: dict = {} if result is None else {"config": result.config.to_doc()}
+    doc.update(agents=names, rounds=summary.rounds, draws=summary.draws)
+    if result is not None:
+        doc["final_balances"] = result.final_balances
+    doc["metrics"] = [asdict(a) for a in summary.agents]
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def write_artifacts(result: arena.TournamentResult, out_dir: Path, title: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     arena.records_to_csv(result.records, result.names, out_dir / "records.csv")
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary_to_doc(result), indent=2) + "\n"
-    )
+    write_summary_json(out_dir / "summary.json", result.summary, result.names, result)
     comparisons = analytics.pairwise_comparisons(result.records, result.names)
     write_comparisons_csv(comparisons, out_dir / "comparisons.csv")
     report = analytics.report_text(result.summary, title)
@@ -270,10 +292,11 @@ def summary_from_csv(path: Path) -> analytics.MetricsSummary:
 
 def cmd_tournament(args) -> int:
     config = _tournament_config(args)
+    agents = _build_agents(config.agents)
     result = (
-        arena.championship(config)
+        arena.championship(config, agents)
         if args.command == "championship"
-        else arena.run_tournament(config)
+        else arena.run_tournament(config, agents)
     )
     title = (
         "Cross-category championship"
@@ -287,9 +310,7 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opponents = None
-    if args.opponents:
-        opponents = [arena.build_agent(name) for name in args.opponents]
+    opponents = _build_agents(args.opponents) if args.opponents else None
     out_dir = args.out_dir or (default_out_dir() / f"train_{args.kind}")
     result = learning.train(
         args.kind,
@@ -334,13 +355,7 @@ def cmd_report(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "report.txt").write_text(report)
         write_comparisons_csv(comparisons, args.out / "comparisons.csv")
-        doc = {
-            "agents": names,
-            "rounds": summary.rounds,
-            "draws": summary.draws,
-            "metrics": [asdict(a) for a in summary.agents],
-        }
-        (args.out / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
+        write_summary_json(args.out / "summary.json", summary, names)
         print(f"artifacts written to {args.out}/")
     return 0
 
@@ -352,13 +367,7 @@ def cmd_export(args) -> int:
     if args.format == "csv":
         summary_to_csv(summary, out)
     else:
-        doc = {
-            "agents": names,
-            "rounds": summary.rounds,
-            "draws": summary.draws,
-            "metrics": [asdict(a) for a in summary.agents],
-        }
-        out.write_text(json.dumps(doc, indent=2) + "\n")
+        write_summary_json(out, summary, names)
     print(f"summary exported to {out}")
     return 0
 
@@ -431,9 +440,7 @@ class HumanAgent:
             print(f"enter a number 0..{len(groups) - 1}")
 
     def decide_pick(self, observation, rng):
-        from .engine import PickSource
-
-        sources = observation.legal_pick_sources()
+        sources = legal_actions(observation)
         if len(sources) == 1:
             print("stock is the only pick; drawing")
             return sources[0]
@@ -457,11 +464,7 @@ def cmd_play(args) -> int:
             {"kind": s, "checkpoint": str(args.checkpoint)} if s in ("dqn", "ppo") else s
             for s in specs
         ]
-    try:
-        ai_agents = [arena.build_agent(spec) for spec in specs]
-    except (ValueError, CheckpointError) as exc:
-        raise DataError(str(exc)) from exc
-    agents = [HumanAgent()] + ai_agents
+    agents = [HumanAgent()] + _build_agents(specs)
     if not 2 <= len(agents) <= 5:
         raise DataError("play needs 1..4 AI opponents")
     names = ["human"] + arena.agent_names(specs)

@@ -35,24 +35,22 @@ import numpy as np
 
 from . import neuralnet as nn
 from .engine import (
+    Action,
     Card,
     DiscardGroup,
     GroupKind,
     JHYAP_THRESHOLD,
+    JhyapAction,
     Observation,
     Phase,
     PickSource,
     RoundOutcome,
+    can_declare_jhyap,
     card_index,
     deal,
-    enumerate_legal_discards,
-    hand_value,
     observation_for,
-    resolve_jhyap,
     round_termination,
-    skip_jhyap,
-    apply_discard,
-    apply_pick,
+    step,
 )
 
 STATE_DIM = 117
@@ -104,15 +102,17 @@ def encode_state(observation: Observation) -> np.ndarray:
     return vec
 
 
-def index_to_action(index: int, observation: Observation):
+def index_to_action(index: int, observation: Observation) -> Optional[Action]:
     """Engine action for an index in the current phase, or None if illegal."""
     phase = observation.phase
     hand = observation.own_hand
     if phase is Phase.JHYAP_CHECK:
         if index == ACTION_DECLARE:
-            return "declare" if observation.hand_value <= JHYAP_THRESHOLD else None
+            if observation.hand_value <= JHYAP_THRESHOLD:
+                return JhyapAction.DECLARE
+            return None
         if index == ACTION_DECLINE:
-            return "decline"
+            return JhyapAction.DECLINE
         return None
     if phase is Phase.DISCARD:
         if ACTION_SINGLE_BASE <= index < ACTION_RANK_SET_BASE:
@@ -314,12 +314,6 @@ class DQNAgentCore:
         if self.train_steps % cfg.target_sync_every == 0:
             self.target_net = _clone_net(self.net)
         return loss
-
-
-def dqn_train_step(
-    core: DQNAgentCore, buffer: ReplayBuffer, rng: random.Random
-) -> Optional[float]:
-    return core.train_step(buffer, rng)
 
 
 # --- PPO ------------------------------------------------------------------
@@ -545,7 +539,7 @@ class RoundEnv:
             validate=False,
             track_events=True,
         )
-        self.outcome = None
+        self.outcome = round_termination(self.state)
         for seat in range(self.num_players):
             if seat != self.learner_seat:
                 self._agent_for(seat).begin_round(seat, self.num_players)
@@ -554,31 +548,22 @@ class RoundEnv:
         return encode_state(obs), legal_action_mask(obs), obs
 
     def _advance_to_learner(self) -> None:
-        """Run opponent turns until the learner must act or the round ends."""
+        """Play opponent actions until the learner must act or the round ends."""
         state = self.state
-        while self.outcome is None:
-            self.outcome = round_termination(state)
-            if self.outcome is not None:
-                break
+        while self.outcome is None and state.current_player != self.learner_seat:
             seat = state.current_player
-            if seat == self.learner_seat:
-                break
             agent = self._agent_for(seat)
             obs = observation_for(state, seat)
-            if hand_value(obs.own_hand) <= JHYAP_THRESHOLD and agent.decide_jhyap(
-                obs, self.rng
-            ):
-                self.outcome = resolve_jhyap(state)
-                break
-            skip_jhyap(state)
-            obs = observation_for(state, seat)
-            apply_discard(state, agent.decide_discard(obs, self.rng))
-            self._broadcast_events()
-            self.outcome = round_termination(state)
-            if self.outcome is not None:
-                break
-            obs = observation_for(state, seat)
-            apply_pick(state, agent.decide_pick(obs, self.rng))
+            if state.phase is Phase.JHYAP_CHECK:
+                declare = can_declare_jhyap(obs.own_hand) and agent.decide_jhyap(
+                    obs, self.rng
+                )
+                action = JhyapAction.DECLARE if declare else JhyapAction.DECLINE
+            elif state.phase is Phase.DISCARD:
+                action = agent.decide_discard(obs, self.rng)
+            else:
+                action = agent.decide_pick(obs, self.rng)
+            self.outcome = step(state, action)
             self._broadcast_events()
 
     def step(self, action_index: int):
@@ -604,21 +589,9 @@ class RoundEnv:
             step_reward = REWARD_INVALID
             invalid = True
 
-        if action == "declare":
-            self.outcome = resolve_jhyap(state)
-        elif action == "decline":
-            skip_jhyap(state)
-        elif isinstance(action, DiscardGroup):
-            apply_discard(state, action)
-            self._broadcast_events()
-            self.outcome = round_termination(state)
-        else:
-            apply_pick(state, action)
-            self._broadcast_events()
-            self._advance_to_learner()
-
-        if self.outcome is None and state.current_player == self.learner_seat:
-            self.outcome = round_termination(state)
+        self.outcome = step(state, action)
+        self._broadcast_events()
+        self._advance_to_learner()
         done = self.outcome is not None
         if done:
             step_reward += float(self.outcome.coin_delta[self.learner_seat])

@@ -1,5 +1,5 @@
 """Minimal dense neural network substrate: numpy forward/backward, Adam,
-and JSON checkpoints.
+and the JSON documents that learning checkpoints store networks in.
 
 Sized for small policy/value heads (117-128-64-128); float64 throughout
 so repeated runs stay bit-identical. Inputs may be single vectors or
@@ -8,10 +8,8 @@ batches (rows); gradients are exact sums over the supplied batch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,28 +179,19 @@ def adam_step(net: DenseNet, grads, state: AdamState) -> None:
 FORMAT_VERSION = 1
 
 
-def net_to_doc(net: DenseNet, optimizer: Optional[AdamState] = None) -> dict:
-    doc = {
+def net_to_doc(net: DenseNet) -> dict:
+    """A versioned JSON-ready document; floats round-trip exactly."""
+    return {
         "format_version": FORMAT_VERSION,
         "layer_dims": net.layer_dims,
         "activations": net.activations,
         "weights": [layer.weights.tolist() for layer in net.layers],
         "biases": [layer.biases.tolist() for layer in net.layers],
     }
-    if optimizer is not None:
-        doc["optimizer"] = {
-            "step": optimizer.step,
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "first": [[m.tolist(), b.tolist()] for m, b in optimizer.first],
-            "second": [[m.tolist(), b.tolist()] for m, b in optimizer.second],
-        }
-    return doc
 
 
 def net_from_doc(doc: dict) -> DenseNet:
+    """Inverse of net_to_doc; raises CheckpointError on a malformed document."""
     try:
         if doc["format_version"] != FORMAT_VERSION:
             raise CheckpointError(f"unsupported format_version {doc['format_version']}")
@@ -210,6 +199,10 @@ def net_from_doc(doc: dict) -> DenseNet:
         activations = doc["activations"]
         layers = []
         for index, activation in enumerate(activations):
+            if activation not in ACTIVATIONS:
+                raise CheckpointError(
+                    f"layer {index}: unknown activation {activation!r}"
+                )
             weights = np.asarray(doc["weights"][index], dtype=np.float64)
             biases = np.asarray(doc["biases"][index], dtype=np.float64)
             if weights.shape != (dims[index + 1], dims[index]) or biases.shape != (
@@ -223,43 +216,3 @@ def net_from_doc(doc: dict) -> DenseNet:
         return DenseNet(layers)
     except (KeyError, IndexError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint document: {exc!r}") from exc
-
-
-def optimizer_from_doc(doc: dict, net: DenseNet) -> AdamState:
-    raw = doc["optimizer"]
-    state = AdamState(
-        first=[
-            (np.asarray(m, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for m, b in raw["first"]
-        ],
-        second=[
-            (np.asarray(m, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for m, b in raw["second"]
-        ],
-        step=raw["step"],
-        lr=raw["lr"],
-        beta1=raw["beta1"],
-        beta2=raw["beta2"],
-        eps=raw["eps"],
-    )
-    if len(state.first) != len(net.layers):
-        raise CheckpointError("optimizer state does not match network depth")
-    return state
-
-
-def save_weights(
-    net: DenseNet, path: str | Path, optimizer: Optional[AdamState] = None
-) -> None:
-    """Write a versioned JSON checkpoint; floats round-trip exactly."""
-    Path(path).write_text(json.dumps(net_to_doc(net, optimizer)))
-
-
-def load_weights(path: str | Path) -> DenseNet:
-    """Read a checkpoint written by save_weights."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: invalid JSON at offset {exc.pos}") from exc
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: expected a JSON object")
-    return net_from_doc(doc)

@@ -10,8 +10,11 @@ Two variants share one information-set tree machinery:
 
 Selection uses UCB1 with the legality factor:
 ``score = mean + C * (l / d) * sqrt(ln(N) / n)``.
-Rollouts play uniformly random legal actions to a terminal settlement and
-score positions by each player's coin change.
+Inside the tree every sampled world takes its candidates from
+``engine.legal_actions`` and moves through ``engine.step``, so the tree
+plays by the engine's own rules. Rollouts play uniformly random legal
+actions to a terminal settlement in ``_playout_outcome``, a fast path
+tested against ``step``, and score positions by each player's coin change.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import Optional, Union
+from typing import Optional
 
 from .engine import (
+    Action,
     Card,
     Discarded,
     DiscardGroup,
@@ -31,6 +34,7 @@ from .engine import (
     FULL_DECK,
     GameError,
     JHYAP_THRESHOLD,
+    JhyapAction,
     Observation,
     Phase,
     PickedStock,
@@ -42,26 +46,18 @@ from .engine import (
     RoundOutcome,
     RoundState,
     _settle_showdown,
-    apply_discard,
     apply_pick,
-    enumerate_legal_discards,
     hand_value,
+    legal_actions,
     random_discard_group,
     resolve_jhyap,
-    skip_jhyap,
+    round_termination,
+    step,
 )
 
 
 class BeliefError(GameError):
     """Belief state inconsistent with the observation it should explain."""
-
-
-class JhyapAction(IntEnum):
-    DECLARE = 0
-    DECLINE = 1
-
-
-Action = Union[JhyapAction, DiscardGroup, PickSource]
 
 
 @dataclass
@@ -204,44 +200,50 @@ def _playout_outcome(
 ) -> Optional[RoundOutcome]:
     """Uniform-random legal play until settlement; None if the cap is hit.
 
-    Behaviour matches driving the public engine ops with uniform choices;
-    kept as one tight loop because search spends most of its time here.
+    Equal to the ``round_termination(state)`` ending, if there is one, and
+    otherwise to at most ``max_actions`` calls of ``engine.step`` with the
+    same draws: declare when eligible and ``rng.random() < 0.5``, discard
+    ``random_discard_group(hand, rng)``, take the top when it is legal and
+    ``rng.random() < 0.5``. Kept as one tight loop because search spends
+    most of its time here; a property test holds it to that reference.
     """
+    outcome = round_termination(state)
+    if outcome is not None:
+        return outcome
     players = state.players
     n = len(players)
-    for seat, player in enumerate(players):  # a hand emptied earlier settles now
-        if not player.hand:
-            return RoundOutcome(seat, _settle_showdown(state, seat), EndReason.EMPTY_HAND)
+    # enum members looked up once: an Enum class attribute is a slow lookup
+    jhyap_check, discard, pick = Phase.JHYAP_CHECK, Phase.DISCARD, Phase.PICK
+    stock_source, top_source = PickSource.STOCK, PickSource.DISCARD_TOP
     while max_actions > 0:
+        max_actions -= 1
         phase = state.phase
-        if phase is Phase.JHYAP_CHECK:
-            if state.turn_count >= state.turn_limit:
-                return RoundOutcome(None, (0,) * n, EndReason.TURN_LIMIT)
+        if phase is jhyap_check:
             hand = players[state.current_player].hand
             if hand_value(hand) <= JHYAP_THRESHOLD and rng.random() < 0.5:
                 return resolve_jhyap(state)
-            state.phase = Phase.DISCARD
-        elif phase is Phase.DISCARD:
+            state.phase = discard
+        elif phase is discard:
             seat = state.current_player
             hand = players[seat].hand
             group = random_discard_group(hand, rng)
             for card in group.cards:
                 hand.remove(card)
             state.discard_stack.append(group)
-            state.phase = Phase.PICK
+            state.phase = pick
             if not hand:
                 return RoundOutcome(
                     seat, _settle_showdown(state, seat), EndReason.EMPTY_HAND
                 )
-        else:
-            has_top = len(state.discard_stack) >= 2
-            if not state.stock and not has_top:
+            if not state.stock and len(state.discard_stack) < 2:
                 return RoundOutcome(None, (0,) * n, EndReason.DECK_EXHAUSTED)
-            if has_top and rng.random() < 0.5:
-                apply_pick(state, PickSource.DISCARD_TOP)
+        else:
+            if len(state.discard_stack) >= 2 and rng.random() < 0.5:
+                apply_pick(state, top_source)
             else:
-                apply_pick(state, PickSource.STOCK)
-        max_actions -= 1
+                apply_pick(state, stock_source)
+            if state.turn_count >= state.turn_limit:
+                return RoundOutcome(None, (0,) * n, EndReason.TURN_LIMIT)
     return None
 
 
@@ -289,65 +291,6 @@ class InfoNode:
         self.actions: dict[Action, ActionStats] = {}
 
 
-def _legal_actions(state: RoundState) -> list[Action]:
-    if state.phase is Phase.JHYAP_CHECK:
-        hand = state.players[state.current_player].hand
-        if hand_value(hand) <= JHYAP_THRESHOLD:
-            return [JhyapAction.DECLARE, JhyapAction.DECLINE]
-        return [JhyapAction.DECLINE]
-    if state.phase is Phase.DISCARD:
-        return list(enumerate_legal_discards(state.players[state.current_player].hand))
-    sources: list[Action] = []
-    if state.stock or len(state.discard_stack) >= 2:
-        sources.append(PickSource.STOCK)
-    if len(state.discard_stack) >= 2:
-        sources.append(PickSource.DISCARD_TOP)
-    return sources
-
-
-def _apply_action(state: RoundState, action: Action) -> Optional[RoundOutcome]:
-    """Advance one determinized world; outcome when the action ends the round."""
-    if isinstance(action, JhyapAction):
-        if action is JhyapAction.DECLARE:
-            return resolve_jhyap(state)
-        skip_jhyap(state)
-        return None
-    if isinstance(action, DiscardGroup):
-        seat = state.current_player
-        apply_discard(state, action)
-        if not state.players[seat].hand:
-            return RoundOutcome(
-                seat, _settle_showdown(state, seat), EndReason.EMPTY_HAND
-            )
-        return None
-    apply_pick(state, action)
-    return None
-
-
-def _pre_action_outcome(state: RoundState) -> Optional[RoundOutcome]:
-    n = state.num_players
-    if state.phase is Phase.JHYAP_CHECK and state.turn_count >= state.turn_limit:
-        return RoundOutcome(None, (0,) * n, EndReason.TURN_LIMIT)
-    if (
-        state.phase is Phase.PICK
-        and not state.stock
-        and len(state.discard_stack) < 2
-    ):
-        return RoundOutcome(None, (0,) * n, EndReason.DECK_EXHAUSTED)
-    return None
-
-
-def legal_root_actions(observation: Observation) -> list[Action]:
-    """The searcher's true legal actions; never taken from a sampled world."""
-    if observation.phase is Phase.JHYAP_CHECK:
-        if observation.hand_value <= JHYAP_THRESHOLD:
-            return [JhyapAction.DECLARE, JhyapAction.DECLINE]
-        return [JhyapAction.DECLINE]
-    if observation.phase is Phase.DISCARD:
-        return list(observation.legal_discards())
-    return list(observation.legal_pick_sources())
-
-
 class _TreeSearch:
     """Shared select/expand/rollout/backpropagate engine for both variants."""
 
@@ -365,7 +308,7 @@ class _TreeSearch:
         belief: BeliefState,
         rng: random.Random,
     ) -> Action:
-        root_actions = legal_root_actions(observation)
+        root_actions = legal_actions(observation)
         if len(root_actions) == 1:
             return root_actions[0]
         root = InfoNode(observation.seat)
@@ -400,18 +343,8 @@ class _TreeSearch:
         node = root
         live = worlds
         while True:
-            still: list[RoundState] = []
-            for world in live:
-                outcome = _pre_action_outcome(world)
-                if outcome is not None:
-                    results.append(outcome.coin_delta)
-                else:
-                    still.append(world)
-            live = still
-            if not live:
-                break
             node.mover = live[0].current_player
-            legal_per_world = [_legal_actions(world) for world in live]
+            legal_per_world = [legal_actions(world) for world in live]
             candidates: list[Action] = []
             legal_counts: dict[Action, int] = {}
             for legal in legal_per_world:
@@ -442,7 +375,7 @@ class _TreeSearch:
             for world, legal in zip(live, legal_per_world):
                 if action not in legal:
                     continue  # worlds where the move is impossible drop out
-                outcome = _apply_action(world, action)
+                outcome = step(world, action)
                 if outcome is not None:
                     results.append(outcome.coin_delta)
                 else:

@@ -14,7 +14,6 @@ from dhumbal.arena import (
     agent_names,
     build_agent,
     championship,
-    random_decide,
     records_from_csv,
     records_to_csv,
     run_round,
@@ -22,33 +21,36 @@ from dhumbal.arena import (
 )
 from dhumbal.engine import Phase, PickSource
 from dhumbal.heuristics import HeuristicAgent
-from dhumbal.search import JhyapAction, SearchAgent
+from dhumbal.search import SearchAgent
 from helpers import c, cards, make_obs, single
 
 
 class TestRandomDecide:
+    """RandomAgent chooses uniformly among the legal actions."""
+
     def test_eligible_jhyap_is_a_coin_flip(self):
         obs = make_obs(cards("2H", "3C"), [single(c("9C"))], [5], 40)
         rng = random.Random(17)
         trials = 100_000
-        declared = sum(
-            random_decide(obs, rng) is JhyapAction.DECLARE for _ in range(trials)
-        )
+        agent = RandomAgent()
+        declared = sum(agent.decide_jhyap(obs, rng) for _ in range(trials))
         assert declared / trials == pytest.approx(0.5, abs=0.01)
 
     def test_ineligible_never_declares(self):
         obs = make_obs(cards("KH", "QD"), [single(c("9C"))], [5], 40)
         rng = random.Random(3)
-        assert all(
-            random_decide(obs, rng) is JhyapAction.DECLINE for _ in range(500)
-        )
+        state = rng.getstate()
+        agent = RandomAgent()
+        assert not any(agent.decide_jhyap(obs, rng) for _ in range(500))
+        assert rng.getstate() == state  # an ineligible hand draws nothing
 
     def test_discard_uniform_over_groups(self):
         hand = cards("5H", "5S", "5D", "2C", "9H")
         obs = make_obs(hand, [single(c("KC"))], [5], 40, phase=Phase.DISCARD)
         groups = engine.enumerate_legal_discards(hand)
         rng = random.Random(23)
-        counts = Counter(random_decide(obs, rng) for _ in range(9 * 12_000))
+        agent = RandomAgent()
+        counts = Counter(agent.decide_discard(obs, rng) for _ in range(9 * 12_000))
         expected = 12_000
         chi2 = sum((counts[g] - expected) ** 2 / expected for g in groups)
         assert chi2 < 30.0  # df=8
@@ -59,7 +61,9 @@ class TestRandomDecide:
         )
         rng = random.Random(29)
         trials = 100_000
-        stock = sum(random_decide(obs, rng) is PickSource.STOCK for _ in range(trials))
+        agent = RandomAgent()
+        picks = [agent.decide_pick(obs, rng) for _ in range(trials)]
+        stock = picks.count(PickSource.STOCK)
         assert stock / trials == pytest.approx(0.5, abs=0.01)
 
 
@@ -85,6 +89,21 @@ class TestBuildAgent:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_agent("chess")
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ismcts", "bogus": 1},
+        {"kind": "heuristic", "profile": "aggressive", "bogus": 1},
+        {"kind": "random", "bogus": 1},
+        {"kind": "ppo", "checkpoint": "ppo.json", "bogus": 1},
+    ], ids=["search", "heuristic", "random", "rl"])
+    def test_unknown_option_rejected(self, spec):
+        with pytest.raises(ValueError, match="bogus"):
+            build_agent(spec)
+
+    @pytest.mark.parametrize("field", ["turn_limit", "workers"])
+    def test_config_rejects_nonpositive(self, field):
+        with pytest.raises(ValueError, match=field):
+            TournamentConfig(agents=["random", "random"], **{field: 0})
 
     def test_duplicate_names_disambiguated(self):
         names = agent_names(["random", "random", "aggressive"])

@@ -91,6 +91,32 @@ class TestTournamentCommand:
         assert excinfo.value.code == 1
 
 
+class TestBadInput:
+    """Bad input ends in exit code 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("config", [
+        '{"agents": [{"kind": "ismcts", "bogus": 1}, "random"]}',
+        '{"agents": [{"kind": "ismcts", "iterations": "many"}, "random"]}',
+        '{"agents": ["random", "random"], "bogus": 1}',
+        '{"agents": ["random", "random"], "turn_limit": 0}',
+        '{"agents": ["random", "random"]',
+    ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json"])
+    def test_bad_config(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        assert run_cli("tournament", "custom", "--agents", "random", "random",
+                       "--rounds", 2, "--config", path, "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("custom", "--agents", "bogus", "random"),
+        ("rule", "--workers", 0),
+    ], ids=["agent-kind", "workers"])
+    def test_bad_arguments(self, tmp_path, capsys, argv):
+        assert run_cli("tournament", *argv, "--rounds", 2, "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+
+
 class TestChampionshipCommand:
     def test_requires_checkpoint(self, tmp_path):
         assert run_cli("championship", "--rounds", 2, "--out", tmp_path) == 2

@@ -14,6 +14,7 @@ from dhumbal.engine import (
     EndReason,
     GroupKind,
     IllegalActionError,
+    JhyapAction,
     Phase,
     PickSource,
     Suit,
@@ -464,8 +465,40 @@ def random_playout(seed: int, num_players: int):
         outcome = engine.round_termination(state)
         if outcome:
             return state, outcome
-        sources = engine.legal_pick_sources(state)
+        sources = engine.legal_actions(state)
         engine.apply_pick(state, sources[rng.randrange(len(sources))])
+
+
+class TestStep:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), num_players=st.integers(2, 5))
+    def test_state_and_observation_agree_on_legal_actions(self, seed, num_players):
+        rng = random.Random(seed)
+        state = engine.deal(num_players, rng, turn_limit=30)
+        outcome = None
+        while outcome is None:
+            legal = engine.legal_actions(state)
+            obs = engine.observation_for(state, state.current_player)
+            assert engine.legal_actions(obs) == legal
+            outcome = engine.step(state, legal[rng.randrange(len(legal))])
+        assert sum(outcome.coin_delta) == 0
+
+    def test_action_order_and_endings(self):
+        players = [engine.PlayerState(cards("AC", "2D")),
+                   engine.PlayerState(cards("KS"))]
+        state = engine.RoundState(players, cards("5H"), [single(c("9C"))],
+                                  random.Random(0), validate=False)
+        assert engine.legal_actions(state) == [JhyapAction.DECLARE, JhyapAction.DECLINE]
+        assert engine.step(state, JhyapAction.DECLINE) is None
+        assert engine.legal_actions(state) == [single(c("AC")), single(c("2D"))]
+        assert engine.step(state, single(c("AC"))) is None
+        assert engine.legal_actions(state) == [PickSource.STOCK, PickSource.DISCARD_TOP]
+        assert engine.step(state, PickSource.STOCK) is None
+        assert engine.legal_actions(state) == [JhyapAction.DECLINE]  # KS is 13
+        assert engine.step(state, JhyapAction.DECLINE) is None
+        outcome = engine.step(state, single(c("KS")))
+        assert outcome.end_reason is EndReason.EMPTY_HAND
+        assert outcome.coin_delta == (-7, 7)  # 2D + 5H
 
 
 class TestFullRoundInvariants:

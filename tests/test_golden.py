@@ -1,0 +1,87 @@
+"""Golden records: SHA-256 digests of deterministic output for fixed seeds.
+
+A refactor that keeps the rules and the agents' random draws must keep
+every digest. Decision timings are the only nondeterministic fields and
+are left out. When a change alters records on purpose, recompute the
+digests and say why in the change's notes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import pytest
+
+from dhumbal import arena, learning
+from dhumbal.arena import TournamentConfig
+
+SEARCH = {"iterations": 20, "time_limit_ms": None}
+
+GOLDEN = {
+    "rule-64": "9be73444e9dc7bcd071f3f45aee8af9d7f065f6cee4153a5aa53026ef5cbdc4a",
+    "search-3": "00877a20ae14f7b449557735bc699562dc0686f01360a02242a2be9fa415ded9",
+    "random-lineup": "17fbc81c61783be1f7d7aed1995046d620a578657ec815844b16aaef83b03b44",
+    "learning": "6ecb2a0011fe0c384d02acaa1d37be19f86dbe9a4643a9ea2aedbfa5941e3a01",
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _tournament_doc(config: TournamentConfig) -> dict:
+    result = arena.run_tournament(config)
+    records = []
+    for record in result.records:
+        row = asdict(record)
+        del row["decision_ms"]
+        records.append(row)
+    return {"records": records, "final_balances": result.final_balances}
+
+
+def _rule_64(tmp_path) -> dict:
+    return _tournament_doc(TournamentConfig(
+        agents=["aggressive", "conservative", "balanced", "opportunistic"],
+        rounds=64, seed=42))
+
+
+def _search_3(tmp_path) -> dict:
+    return _tournament_doc(TournamentConfig(
+        agents=[{"kind": "mcts", **SEARCH}, {"kind": "ismcts", **SEARCH}],
+        rounds=3, seed=42))
+
+
+def _random_lineup(tmp_path) -> dict:
+    return _tournament_doc(TournamentConfig(
+        agents=["random", "aggressive", "random", "opportunistic"],
+        rounds=128, seed=42))
+
+
+def _learning(tmp_path) -> dict:
+    doc = {}
+    checkpoints = {}
+    for kind in ("dqn", "ppo"):
+        result = learning.train(kind, episodes=20, seed=42, out_dir=tmp_path / kind)
+        doc[kind] = [asdict(row) for row in result.curve]
+        checkpoints[kind] = str(result.checkpoint_paths[-1])
+    doc["tournament"] = _tournament_doc(TournamentConfig(
+        agents=[{"kind": "ppo", "checkpoint": checkpoints["ppo"]},
+                {"kind": "dqn", "checkpoint": checkpoints["dqn"]},
+                "random"],
+        rounds=8, seed=42))
+    return doc
+
+
+CASES = {
+    "rule-64": _rule_64,
+    "search-3": _search_3,
+    "random-lineup": _random_lineup,
+    "learning": _learning,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_records(case, tmp_path):
+    assert _digest(CASES[case](tmp_path)) == GOLDEN[case]

@@ -151,16 +151,11 @@ class TestActionTable:
             state.phase = rng.choice(list(Phase))
             obs = engine.observation_for(state, 0)
             mask = legal_action_mask(obs)
-            legal_groups = (
-                engine.enumerate_legal_discards(obs.own_hand)
-                if obs.phase is Phase.DISCARD
-                else []
-            )
+            legal = engine.legal_actions(obs)
             for index in np.flatnonzero(mask):
                 action = index_to_action(int(index), obs)
                 assert action is not None
-                if obs.phase is Phase.DISCARD:
-                    assert action in legal_groups
+                assert action in legal
             for index in np.flatnonzero(~mask):
                 assert index_to_action(int(index), obs) is None
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dhumbal import learning
 from dhumbal import neuralnet as nn
 
 
@@ -190,16 +192,26 @@ class TestAdam:
 
 
 class TestCheckpoints:
+    """Networks persist only inside learning checkpoints."""
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(13)
-        net = random_net(rng, dims=(117, 128, 64, 128), activations=("relu", "relu", "linear"))
-        path = tmp_path / "net.json"
-        nn.save_weights(net, path)
-        loaded = nn.load_weights(path)
-        assert loaded.activations == net.activations
-        for a, b in zip(loaded.layers, net.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.biases, b.biases)
+        core = SimpleNamespace(
+            actor=random_net(rng, dims=(117, 128, 64, 128),
+                             activations=("relu", "relu", "linear")),
+            critic=random_net(rng, dims=(117, 128, 64, 1),
+                              activations=("relu", "relu", "linear")),
+        )
+        path = tmp_path / "ppo.json"
+        learning.save_learning_checkpoint("ppo", core, path, episode=1)
+        kind, nets = learning.load_learning_checkpoint(path)
+        assert kind == "ppo"
+        for name in ("actor", "critic"):
+            net, loaded = getattr(core, name), nets[name]
+            assert loaded.activations == net.activations
+            for a, b in zip(loaded.layers, net.layers):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.biases, b.biases)
 
     def test_policy_head_parameter_count(self):
         rng = np.random.default_rng(1)
@@ -209,35 +221,28 @@ class TestCheckpoints:
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
-        net = random_net(rng)
-        path = tmp_path / "net.json"
-        nn.save_weights(net, path)
+        path = tmp_path / "dqn.json"
+        learning.save_learning_checkpoint(
+            "dqn", SimpleNamespace(net=random_net(rng)), path, episode=1)
         path.write_text(path.read_text()[:80])
         with pytest.raises(nn.CheckpointError):
-            nn.load_weights(path)
+            learning.load_learning_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
-        net = random_net(rng)
-        doc = nn.net_to_doc(net)
+        doc = nn.net_to_doc(random_net(rng))
         doc["weights"][0] = [[1.0, 2.0]]
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "dqn.json"
+        path.write_text(json.dumps(
+            {"format_version": 1, "kind": "dqn", "episode": 1, "net": doc}))
         with pytest.raises(nn.CheckpointError):
-            nn.load_weights(path)
+            learning.load_learning_checkpoint(path)
 
-    def test_optimizer_state_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        net = random_net(rng)
-        state = nn.adam_init(net, lr=1e-2)
-        grads = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in net.layers]
-        nn.adam_step(net, grads, state)
-        path = tmp_path / "net.json"
-        nn.save_weights(net, path, optimizer=state)
-        doc = json.loads(path.read_text())
-        restored = nn.optimizer_from_doc(doc, nn.net_from_doc(doc))
-        assert restored.step == 1
-        assert np.array_equal(restored.first[0][0], state.first[0][0])
+    def test_unknown_activation_rejected(self):
+        doc = nn.net_to_doc(random_net(np.random.default_rng(2)))
+        doc["activations"][0] = "tanh"
+        with pytest.raises(nn.CheckpointError, match="tanh"):
+            nn.net_from_doc(doc)
 
 
 class TestXorTraining:

@@ -6,12 +6,15 @@ from itertools import combinations
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhumbal import engine, search
 from dhumbal.engine import (
     Card,
     DiscardGroup,
     GroupKind,
+    JhyapAction,
     Observation,
     Phase,
     PickSource,
@@ -22,7 +25,6 @@ from dhumbal.search import (
     BeliefError,
     BeliefState,
     BeliefTracker,
-    JhyapAction,
     SearchConfig,
     determinize,
     ismcts_decide,
@@ -154,7 +156,7 @@ class TestDeterminize:
             engine.apply_discard(state, engine.random_discard_group(hand, rng))
             if engine.round_termination(state):
                 break
-            engine.apply_pick(state, engine.legal_pick_sources(state)[0])
+            engine.apply_pick(state, engine.legal_actions(state)[0])
             for event in state.events:
                 tracker.update(event)
             state.events.clear()
@@ -285,7 +287,60 @@ def oracle_uniform_value(hands, stock, pile, current, phase, turn_count, limit):
     return acc
 
 
+def step_playout(state, rng, cap):
+    """The playout rule driven through engine.step, one action per unit of
+    cap: the reference that search._playout_outcome must equal."""
+    outcome = engine.round_termination(state)
+    while outcome is None and cap > 0:
+        cap -= 1
+        hand = state.players[state.current_player].hand
+        if state.phase is Phase.JHYAP_CHECK:
+            declare = engine.can_declare_jhyap(hand) and rng.random() < 0.5
+            action = JhyapAction.DECLARE if declare else JhyapAction.DECLINE
+        elif state.phase is Phase.DISCARD:
+            action = engine.random_discard_group(hand, rng)
+        else:
+            top = len(engine.legal_actions(state)) == 2 and rng.random() < 0.5
+            action = PickSource.DISCARD_TOP if top else PickSource.STOCK
+        outcome = engine.step(state, action)
+    return outcome
+
+
+def state_snapshot(state):
+    return (
+        [(list(p.hand), p.coins) for p in state.players],
+        list(state.stock),
+        list(state.discard_stack),
+        state.current_player,
+        state.turn_count,
+        state.phase,
+    )
+
+
 class TestRollout:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        num_players=st.integers(2, 5),
+        turn_limit=st.integers(1, 60),
+        count_orbits=st.booleans(),
+        warmup=st.integers(0, 80),
+        cap=st.integers(0, 300),
+    )
+    def test_playout_matches_engine_step(
+        self, seed, num_players, turn_limit, count_orbits, warmup, cap
+    ):
+        base = engine.deal(num_players, random.Random(seed), turn_limit=turn_limit,
+                           count_orbits=count_orbits, validate=False)
+        step_playout(base, random.Random(seed + 1), warmup)  # may end the round
+        fast = base.clone(random.Random(seed))
+        reference = base.clone(random.Random(seed))
+        reference.validate = True
+        outcome = search._playout_outcome(fast, fast.rng, cap)
+        assert outcome == step_playout(reference, reference.rng, cap)
+        assert state_snapshot(fast) == state_snapshot(reference)
+        assert fast.rng.getstate() == reference.rng.getstate()
+
     def test_immediate_settlement_on_emptied_hand(self):
         state = endgame_state()
         state.players[0].hand = []
