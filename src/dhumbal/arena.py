@@ -391,17 +391,22 @@ def _run_parallel(config: TournamentConfig) -> list[RoundRecord]:
 CHAMPIONSHIP_LINEUP = ("aggressive", "ismcts", "ppo", "random")
 
 
-def championship(config: TournamentConfig, agents=None) -> TournamentResult:
-    """The cross-category final: Aggressive, ISMCTS, PPO, Random."""
+def check_championship_lineup(specs) -> None:
+    """Raise ValueError unless the agent entries are the championship's four."""
     kinds = []
-    for spec in config.agents:
+    for spec in specs:
         spec = {"kind": spec} if isinstance(spec, str) else spec
-        kind = spec.get("profile") if spec.get("kind") == "heuristic" else spec["kind"]
+        kind = spec.get("profile") if spec.get("kind") == "heuristic" else spec.get("kind")
         kinds.append(kind)
-    if sorted(kinds) != sorted(CHAMPIONSHIP_LINEUP):
+    if sorted(map(str, kinds)) != sorted(CHAMPIONSHIP_LINEUP):
         raise ValueError(
             f"championship needs exactly {CHAMPIONSHIP_LINEUP}, got {kinds}"
         )
+
+
+def championship(config: TournamentConfig, agents=None) -> TournamentResult:
+    """The cross-category final: Aggressive, ISMCTS, PPO, Random."""
+    check_championship_lineup(config.agents)
     return run_tournament(config, agents=agents)
 
 

@@ -167,9 +167,12 @@ def _tournament_config(args) -> arena.TournamentConfig:
     if args.workers != 1:
         doc["workers"] = args.workers
     try:
-        return arena.TournamentConfig.from_doc(doc)
+        config = arena.TournamentConfig.from_doc(doc)
+        if args.command == "championship":
+            arena.check_championship_lineup(config.agents)
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad tournament config: {exc}") from exc
+    return config
 
 
 def _build_agents(specs) -> list:

@@ -10,6 +10,15 @@ The engine is deterministic given a seeded ``random.Random`` stream and
 offers per-step card-conservation checks, a phase machine, and per-player
 observations that hide opponent hands. Every player of a round, whatever
 the agent, moves through ``step`` and chooses among ``legal_actions``.
+
+Legal discards come from one pattern scan over card codes,
+``(rank - 1) * 4 + suit`` (a 0..51 int whose order is Card order):
+``enumerate_legal_discards`` lists the groups it finds, and
+``draw_discard``, the one discard draw, counts them and draws one index as
+``rng.randrange`` would. ``random_discard_group`` wraps it for Card hands.
+Tests hold every draw to one ``randrange`` over the enumeration, with the
+same ``rng`` state after it, and the enumeration to an order derived from
+the rules alone.
 """
 
 from __future__ import annotations
@@ -19,8 +28,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import combinations
 from operator import itemgetter
-from statistics import fmean
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GameError(Exception):
@@ -147,119 +155,161 @@ def make_group(cards: Sequence[Card]) -> DiscardGroup:
     return DiscardGroup(kind, tuple(sorted(cards)))
 
 
+# Card codes. The discard rules and search playouts work on
+# ``(rank - 1) * 4 + suit``, a 0..51 int whose order is Card order: sorted
+# codes are a canonically sorted hand, and these tables, built once at
+# import, map a card to its code and a code back to its card and rank.
+CODE_CARD: tuple[Card, ...] = tuple(sorted(FULL_DECK))
+CARD_CODE: dict[Card, int] = {card: code for code, card in enumerate(CODE_CARD)}
+CODE_RANK: tuple[int, ...] = tuple(card.rank for card in CODE_CARD)
+
+# Per-rank and per-suit weights per code. Summed over a hand, the rank
+# weights count each rank in a 3-bit field, so a field of 2 or more (bit 1 or
+# 2 set) is a set; the suit weights set bit ``rank - 1`` of a 15-bit field per
+# suit, so three consecutive bits in one field are a run.
+_RANK_WEIGHT: tuple[int, ...] = tuple(1 << 3 * (card.rank - 1) for card in CODE_CARD)
+_SUIT_WEIGHT: tuple[int, ...] = tuple(
+    1 << (15 * card.suit + card.rank - 1) for card in CODE_CARD
+)
+_SET_BITS = sum(0b110 << 3 * field for field in range(13))
+
+# The groups a pattern holds, as positions among its cards: for a rank held
+# k times (k <= 4) every subset of size >= 2 in ``combinations`` order, size
+# by size; for a run of m cards every window of length >= 3, length by length.
+_SET_PICKS = {
+    k: [combo for size in range(2, k + 1) for combo in combinations(range(k), size)]
+    for k in range(2, 5)
+}
+_RUN_PICKS = {
+    m: [tuple(range(start, start + length))
+        for length in range(3, m + 1) for start in range(m - length + 1)]
+    for m in range(3, 14)
+}
+
+# Every single discard as one shared group: a group is immutable, and most
+# discards are singles.
+_SINGLE_GROUPS: tuple[DiscardGroup, ...] = tuple(
+    DiscardGroup(_SINGLE, (card,)) for card in CODE_CARD
+)
+
+
+def _patterns(cards: list[int]) -> list[tuple[GroupKind, list[int], list[tuple[int, ...]]]]:
+    """The sets and runs of a sorted hand of codes, each as its kind, its
+    cards and the positions of its groups among them: ranks held twice or
+    more in rank order, then maximal runs of 3 or more, suit by suit. Most
+    hands hold neither, which one pass over the weights tells."""
+    ranks = suits = 0
+    for code in cards:
+        ranks += _RANK_WEIGHT[code]
+        suits += _SUIT_WEIGHT[code]
+    found: list[tuple[GroupKind, list[int], list[tuple[int, ...]]]] = []
+    n = len(cards)
+    if ranks & _SET_BITS:
+        i = 0
+        while i < n:
+            rank = cards[i] >> 2
+            j = i + 1
+            while j < n and cards[j] >> 2 == rank:
+                j += 1
+            if j - i >= 2:
+                found.append((_SET, cards[i:j], _SET_PICKS[j - i]))
+            i = j
+    if suits & (suits >> 1) & (suits >> 2):
+        for suit in range(4):
+            run = [code for code in cards if code & 3 == suit]
+            m = len(run)
+            i = 0
+            while i < m - 2:
+                j = i
+                while j + 1 < m and run[j + 1] == run[j] + 4:
+                    j += 1
+                if j - i >= 2:
+                    found.append((_SEQUENCE, run[i : j + 1], _RUN_PICKS[j - i + 1]))
+                i = j + 1
+    return found
+
+
+def _build_group(kind: GroupKind, codes: Iterable[int]) -> DiscardGroup:
+    return DiscardGroup(kind, tuple(map(CODE_CARD.__getitem__, codes)))
+
+
 def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
     """All legal discard groups in a hand, in a deterministic canonical order.
 
     Singles come first (card order), then same-rank sets (all subsets of
     size >=2 per rank), then same-suit runs (every consecutive window of
-    length >=3). Raises on an empty hand.
+    length >=3). Raises on an empty hand. ``draw_discard`` counts the same
+    groups in the same order.
     """
     if not hand:
         raise GameError("cannot enumerate discards for an empty hand")
-    cards = sorted(hand)
-    groups: list[DiscardGroup] = [DiscardGroup(_SINGLE, (c,)) for c in cards]
-
-    by_rank: dict[int, list[Card]] = {}
-    for card in cards:
-        by_rank.setdefault(card.rank, []).append(card)
-    for rank in sorted(by_rank):
-        same = by_rank[rank]
-        for size in range(2, len(same) + 1):
-            for combo in combinations(same, size):
-                groups.append(DiscardGroup(_SET, combo))
-
-    by_suit: dict[int, list[Card]] = {}
-    for card in cards:
-        by_suit.setdefault(card.suit, []).append(card)
-    for suit in sorted(by_suit):
-        run = by_suit[suit]  # already rank-sorted, ranks unique per suit
-        i = 0
-        while i < len(run):
-            j = i
-            while j + 1 < len(run) and run[j + 1].rank == run[j].rank + 1:
-                j += 1
-            seg = run[i : j + 1]
-            for length in range(3, len(seg) + 1):
-                for start in range(len(seg) - length + 1):
-                    groups.append(
-                        DiscardGroup(_SEQUENCE, tuple(seg[start : start + length]))
-                    )
-            i = j + 1
+    cards = sorted(map(CARD_CODE.__getitem__, hand))
+    groups = [_SINGLE_GROUPS[code] for code in cards]
+    for kind, members, picks in _patterns(cards):
+        for pick in picks:
+            groups.append(_build_group(kind, [members[p] for p in pick]))
     return groups
 
 
-def random_discard_group(hand: Sequence[Card], rng: random.Random) -> DiscardGroup:
-    """Uniform draw from enumerate_legal_discards(hand) without building it.
+def draw_discard(
+    hand: Iterable[int], rng: random.Random
+) -> tuple[DiscardGroup, tuple[int, ...]]:
+    """Uniform draw from the legal discards of a hand of card codes: the
+    chosen group and its codes, both in ascending order.
 
-    Counts groups per category, draws an index, and materialises only the
-    chosen group; the hot path of simulation playouts. Tuple indexing into
-    Card fields keeps this loop cheap.
+    The one draw rule: the groups of ``enumerate_legal_discards`` are
+    counted, one index below the count is drawn as ``rng.randrange(count)``
+    draws it, and only the chosen group is built. A one-card hand draws
+    nothing.
     """
     cards = sorted(hand)
     n = len(cards)
-    if n == 0:
-        raise GameError("cannot discard from an empty hand")
-    if n == 1:
-        return DiscardGroup(_SINGLE, (cards[0],))
-
+    if n < 2:
+        if not n:
+            raise GameError("cannot discard from an empty hand")
+        return _SINGLE_GROUPS[cards[0]], (cards[0],)
+    patterns = _patterns(cards)
     total = n
-    set_spans: list[tuple[int, int]] = []  # (start, run length) per repeated rank
-    i = 0
-    while i < n:
-        rank = cards[i][0]
-        j = i + 1
-        while j < n and cards[j][0] == rank:
-            j += 1
-        if j - i >= 2:
-            set_spans.append((i, j - i))
-            total += (1 << (j - i)) - 1 - (j - i)  # subsets of size 2..k
-        i = j
-
-    seq_spans: list[tuple[list[Card], int, int]] = []  # (suit run, start, length)
-    if n >= 3:
-        suits: tuple[list[Card], ...] = ([], [], [], [])
-        for card in cards:
-            suits[card[1]].append(card)
-        for run in suits:
-            m = len(run)
-            if m < 3:
-                continue
-            i = 0
-            while i < m:
-                j = i
-                while j + 1 < m and run[j + 1][0] == run[j][0] + 1:
-                    j += 1
-                length = j - i + 1
-                if length >= 3:
-                    seq_spans.append((run, i, length))
-                    total += (length - 2) * (length - 1) // 2  # windows >= 3
-                i = j + 1
-
-    index = rng.randrange(total)
+    for _, _, picks in patterns:
+        total += len(picks)
+    # rng.randrange(total), inlined: the same getrandbits calls, without
+    # the two Python-level calls that cost more than the draw itself
+    getrandbits = rng.getrandbits
+    bits = total.bit_length()
+    index = getrandbits(bits)
+    while index >= total:
+        index = getrandbits(bits)
     if index < n:
-        return DiscardGroup(_SINGLE, (cards[index],))
+        code = cards[index]
+        return _SINGLE_GROUPS[code], (code,)
     index -= n
-    for start, k in set_spans:
-        count = (1 << k) - 1 - k
-        if index < count:
-            same = cards[start : start + k]
-            for size in range(2, k + 1):
-                for combo in combinations(same, size):
-                    if index == 0:
-                        return DiscardGroup(_SET, combo)
-                    index -= 1
-        index -= count
-    for run, first, length in seq_spans:
-        count = (length - 2) * (length - 1) // 2
-        if index < count:
-            for window in range(3, length + 1):
-                for start in range(length - window + 1):
-                    if index == 0:
-                        a = first + start
-                        return DiscardGroup(_SEQUENCE, tuple(run[a : a + window]))
-                    index -= 1
-        index -= count
+    for kind, members, picks in patterns:
+        if index < len(picks):
+            codes = tuple(members[p] for p in picks[index])
+            return _build_group(kind, codes), codes
+        index -= len(picks)
     raise AssertionError("unreachable: group counts out of sync")
+
+
+def random_discard_group(hand: Sequence[Card], rng: random.Random) -> DiscardGroup:
+    """Uniform draw from enumerate_legal_discards(hand) without building it:
+    ``draw_discard`` on the hand's card codes, with the same draws."""
+    return draw_discard(map(CARD_CODE.__getitem__, hand), rng)[0]
+
+
+def shuffle_cards(cards: list, rng: random.Random) -> None:
+    """``rng.shuffle(cards)`` with the same draws, for every shuffle of the
+    engine and of search: each ``randrange`` is inlined on
+    ``rng.getrandbits``, which saves two Python-level calls per card when
+    search shuffles a stock for every sampled world."""
+    getrandbits = rng.getrandbits
+    for i in range(len(cards) - 1, 0, -1):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        cards[i], cards[j] = cards[j], cards[i]
 
 
 JHYAP_THRESHOLD = 10
@@ -480,7 +530,7 @@ def deal(
     if coins is not None and len(coins) != num_players:
         raise ValueError("coins must match num_players")
     deck = list(FULL_DECK)
-    rng.shuffle(deck)
+    shuffle_cards(deck, rng)
     players = [
         PlayerState([], 10_000 if coins is None else coins[i]) for i in range(num_players)
     ]
@@ -553,7 +603,7 @@ def _reshuffle_into_stock(state: RoundState) -> None:
         return
     cards = [c for g in state.discard_stack[:-1] for c in g.cards]
     state.discard_stack = [state.discard_stack[-1]]
-    state.rng.shuffle(cards)
+    shuffle_cards(cards, state.rng)
     state.stock = cards
     if state.events is not None:
         state.events.append(Reshuffled(len(cards)))
@@ -762,7 +812,7 @@ def observation_for(state: RoundState, seat: int) -> Observation:
         discard_pile_groups=tuple(state.discard_stack),
         opponent_hand_sizes=tuple(len(state.players[s].hand) for s in others),
         own_coins=state.players[seat].coins,
-        avg_opponent_coins=fmean(state.players[s].coins for s in others),
+        avg_opponent_coins=sum(state.players[s].coins for s in others) / len(others),
         stock_size=len(state.stock),
         turn_count=state.turn_count,
         turn_limit=state.turn_limit,

@@ -15,6 +15,12 @@ Inside the tree every sampled world takes its candidates from
 plays by the engine's own rules. Rollouts play uniformly random legal
 actions to a terminal settlement in ``_playout_outcome``, a fast path
 tested against ``step``, and score positions by each player's coin change.
+The playout keeps hands as card codes and draws discards through
+``engine.draw_discard``; ``determinize`` keeps what does not depend on its
+draws in the belief's ``deal_plan``, so a decision works it out once. A
+property test holds the playout to ``step`` with the same draws and the
+same final state, and golden digests pin determinized worlds and their
+playouts for fixed beliefs and seeds.
 """
 
 from __future__ import annotations
@@ -23,9 +29,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .engine import (
+    CARD_CODE,
+    CODE_CARD,
+    CODE_RANK,
     Action,
     Card,
     Discarded,
@@ -45,15 +55,19 @@ from .engine import (
     Reshuffled,
     RoundOutcome,
     RoundState,
+    _reshuffle_into_stock,
     _settle_showdown,
-    apply_pick,
+    draw_discard,
     hand_value,
     legal_actions,
-    random_discard_group,
     resolve_jhyap,
     round_termination,
+    shuffle_cards,
     step,
 )
+
+# module globals, as in the engine: an Enum class attribute is a slow lookup
+_JHYAP_CHECK, _DISCARD, _PICK = Phase.JHYAP_CHECK, Phase.DISCARD, Phase.PICK
 
 
 class BeliefError(GameError):
@@ -86,6 +100,25 @@ class BeliefState:
     unseen_pool: frozenset[Card]
     opponent_hand_sizes: dict[int, int]
     known_opponent_cards: dict[int, frozenset[Card]]
+
+    @cached_property
+    def deal_plan(self) -> tuple[list[Card], list[tuple[int, list[Card], int]], int]:
+        """What every determinization of this belief shares, worked out on
+        first use: the unseen pool in canonical order; per opponent (in
+        ``opponent_hand_sizes`` order) the seat, its known cards and how
+        many unseen cards it needs; and how many cards are left for the
+        stock."""
+        pool = sorted(self.unseen_pool)
+        left = len(pool)
+        seats = []
+        for seat, size in self.opponent_hand_sizes.items():
+            known = self.known_opponent_cards.get(seat, frozenset())
+            need = size - len(known)
+            if need < 0 or need > left:
+                raise BeliefError(f"seat {seat} needs {need} unseen cards, pool has {left}")
+            seats.append((seat, list(known), need))
+            left -= need
+        return pool, seats, left
 
 
 class BeliefTracker:
@@ -145,34 +178,32 @@ def determinize(
 ) -> RoundState:
     """Sample a full hidden state consistent with the belief.
 
-    Opponent hands get their known cards plus a uniform draw from the
-    unseen pool; whatever remains becomes the stock in random order.
+    Opponent hands get their known cards plus a uniform ``rng.sample`` of
+    the unseen pool; whatever remains becomes the stock, shuffled as
+    ``rng.shuffle`` would. The belief's ``deal_plan`` holds the work that
+    does not depend on the draws, so a decision does it once.
     """
-    pool = sorted(belief.unseen_pool)
+    pool, seats, left = belief.deal_plan
+    if left != observation.stock_size:
+        raise BeliefError(
+            f"belief leaves {left} cards for a stock of {observation.stock_size}"
+        )
+    stock = list(pool)
     players: list[Optional[PlayerState]] = [None] * observation.num_players
     avg = round(observation.avg_opponent_coins)
-    for seat, size in belief.opponent_hand_sizes.items():
-        known = belief.known_opponent_cards.get(seat, frozenset())
-        need = size - len(known)
-        if need < 0 or need > len(pool):
-            raise BeliefError(
-                f"seat {seat} needs {need} unseen cards, pool has {len(pool)}"
-            )
-        drawn = rng.sample(pool, need)
-        for card in drawn:
-            pool.remove(card)
-        players[seat] = PlayerState(list(known) + drawn, avg)
+    for seat, known, need in seats:
+        # sampling positions draws exactly as sampling the cards would
+        picked = rng.sample(range(len(stock)), need)
+        players[seat] = PlayerState(known + [stock[i] for i in picked], avg)
+        for i in sorted(picked, reverse=True):
+            del stock[i]
     players[observation.seat] = PlayerState(
         list(observation.own_hand), observation.own_coins
     )
-    if len(pool) != observation.stock_size:
-        raise BeliefError(
-            f"belief leaves {len(pool)} cards for a stock of {observation.stock_size}"
-        )
-    rng.shuffle(pool)
+    shuffle_cards(stock, rng)
     state = RoundState(
         players,  # type: ignore[arg-type]
-        pool,
+        stock,
         list(observation.discard_pile_groups),
         rng,
         turn_limit=observation.turn_limit,
@@ -206,45 +237,87 @@ def _playout_outcome(
     ``random_discard_group(hand, rng)``, take the top when it is legal and
     ``rng.random() < 0.5``. Kept as one tight loop because search spends
     most of its time here; a property test holds it to that reference.
+
+    Hands are played as card-code lists in list order, each with a running
+    value, and discard through ``engine.draw_discard``; the stock and the
+    pile stay the state's own lists, so pile groups no action touched are
+    kept as they are. The hands are written back before the function
+    returns, so a settlement reads the final state.
     """
     outcome = round_termination(state)
     if outcome is not None:
         return outcome
     players = state.players
     n = len(players)
-    # enum members looked up once: an Enum class attribute is a slow lookup
-    jhyap_check, discard, pick = Phase.JHYAP_CHECK, Phase.DISCARD, Phase.PICK
-    stock_source, top_source = PickSource.STOCK, PickSource.DISCARD_TOP
-    while max_actions > 0:
-        max_actions -= 1
-        phase = state.phase
-        if phase is jhyap_check:
-            hand = players[state.current_player].hand
-            if hand_value(hand) <= JHYAP_THRESHOLD and rng.random() < 0.5:
-                return resolve_jhyap(state)
-            state.phase = discard
-        elif phase is discard:
-            seat = state.current_player
-            hand = players[seat].hand
-            group = random_discard_group(hand, rng)
-            for card in group.cards:
-                hand.remove(card)
-            state.discard_stack.append(group)
-            state.phase = pick
+    hands = [list(map(CARD_CODE.__getitem__, player.hand)) for player in players]
+    values = [hand_value(player.hand) for player in players]
+    stock, pile = state.stock, state.discard_stack
+    seat, phase, turn = state.current_player, state.phase, state.turn_count
+    turn_limit, count_orbits = state.turn_limit, state.count_orbits
+    draw = rng.random
+    end: Optional[EndReason] = None
+    for _ in range(max_actions):
+        if phase is _JHYAP_CHECK:
+            if values[seat] <= JHYAP_THRESHOLD and draw() < 0.5:
+                end = EndReason.JHYAP_SHOWDOWN
+                break
+            phase = _DISCARD
+        elif phase is _DISCARD:
+            hand = hands[seat]
+            group, codes = draw_discard(hand, rng)
+            pile.append(group)
+            value = values[seat]
+            for code in codes:
+                hand.remove(code)
+                value -= CODE_RANK[code]
+            values[seat] = value
+            phase = _PICK
             if not hand:
-                return RoundOutcome(
-                    seat, _settle_showdown(state, seat), EndReason.EMPTY_HAND
-                )
-            if not state.stock and len(state.discard_stack) < 2:
-                return RoundOutcome(None, (0,) * n, EndReason.DECK_EXHAUSTED)
+                end = EndReason.EMPTY_HAND
+                break
+            if not stock and len(pile) < 2:
+                end = EndReason.DECK_EXHAUSTED
+                break
         else:
-            if len(state.discard_stack) >= 2 and rng.random() < 0.5:
-                apply_pick(state, top_source)
+            if len(pile) >= 2 and draw() < 0.5:
+                group = pile[-2]  # the top of the group below the picker's own
+                cards = group.cards
+                card = cards[-1]
+                if len(cards) > 1:
+                    pile[-2] = DiscardGroup(group.kind, cards[:-1])
+                else:
+                    del pile[-2]
             else:
-                apply_pick(state, stock_source)
-            if state.turn_count >= state.turn_limit:
-                return RoundOutcome(None, (0,) * n, EndReason.TURN_LIMIT)
-    return None
+                if not stock:
+                    _reshuffle_into_stock(state)
+                    stock, pile = state.stock, state.discard_stack
+                card = stock.pop()
+                if not stock:
+                    _reshuffle_into_stock(state)
+                    stock, pile = state.stock, state.discard_stack
+            hands[seat].append(CARD_CODE[card])
+            values[seat] += card[0]  # its rank
+            seat += 1
+            if seat == n:
+                seat = 0
+                turn += 1
+            elif not count_orbits:
+                turn += 1
+            phase = _JHYAP_CHECK
+            if turn >= turn_limit:
+                end = EndReason.TURN_LIMIT
+                break
+
+    for player, hand in zip(players, hands):
+        player.hand[:] = map(CODE_CARD.__getitem__, hand)
+    state.current_player, state.phase, state.turn_count = seat, phase, turn
+    if end is None:
+        return None
+    if end is EndReason.JHYAP_SHOWDOWN:
+        return resolve_jhyap(state)
+    if end is EndReason.EMPTY_HAND:
+        return RoundOutcome(seat, _settle_showdown(state, seat), end)
+    return RoundOutcome(None, (0,) * n, end)
 
 
 def rollout(

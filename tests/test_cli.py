@@ -116,6 +116,17 @@ class TestBadInput:
         assert run_cli("tournament", *argv, "--rounds", 2, "--out", tmp_path) == 2
         assert capsys.readouterr().err.startswith("dhumbal: ")
 
+    def test_championship_config_with_another_lineup(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ppo.json"
+        learning.save_learning_checkpoint(
+            "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=3), checkpoint, 1)
+        path = tmp_path / "config.json"
+        path.write_text('{"agents": ["random", "random"]}')
+        assert run_cli("championship", "--rounds", 2, "--config", path,
+                       "--checkpoint", checkpoint, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestChampionshipCommand:
     def test_requires_checkpoint(self, tmp_path):

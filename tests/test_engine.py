@@ -64,6 +64,42 @@ def as_pairs(groups) -> set:
     return {(g.kind, g.cards) for g in groups}
 
 
+def oracle_order(hand, pair) -> tuple:
+    """Sort key of the canonical discard order, derived from the rules
+    alone: singles by card; then sets by rank, size, and suits; then runs
+    by suit, the first rank of the hand's maximal run holding them, length,
+    and first rank."""
+    kind, combo = pair
+    if kind == GroupKind.SINGLE:
+        return (0, combo[0])
+    if kind == GroupKind.SET:
+        return (1, combo[0].rank, len(combo), tuple(card.suit for card in combo))
+    suit, low = combo[0].suit, combo[0].rank
+    first = low
+    while Card(first - 1, suit) in hand:
+        first -= 1
+    return (2, suit, first, len(combo), low)
+
+
+@st.composite
+def patterned_hands(draw):
+    """Hands of 1 to 8 distinct cards, in any order, that often hold a set
+    of 3 or 4 and a run of 5 or more."""
+    found = []
+    if draw(st.booleans()):
+        length = draw(st.integers(3, 8))
+        start = draw(st.integers(1, 14 - length))
+        suit = draw(st.integers(0, 3))
+        found += [Card(rank, suit) for rank in range(start, start + length)]
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 13))
+        suits = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
+        found += [Card(rank, suit) for suit in suits]
+    found += draw(st.lists(st.sampled_from(engine.FULL_DECK), max_size=8))
+    hand = list(dict.fromkeys(found))[:8] or [draw(st.sampled_from(engine.FULL_DECK))]
+    return draw(st.permutations(hand))
+
+
 class TestCardValues:
     def test_ace_is_one(self):
         assert engine.card_value(1) == 1
@@ -171,6 +207,13 @@ class TestEnumerateLegalDiscards:
         )
         assert as_pairs(engine.enumerate_legal_discards(hand)) == oracle_discards(hand)
 
+    @settings(max_examples=300, deadline=None)
+    @given(patterned_hands())
+    def test_order_matches_oracle(self, hand):
+        groups = engine.enumerate_legal_discards(hand)
+        expected = sorted(oracle_discards(hand), key=lambda pair: oracle_order(hand, pair))
+        assert [(g.kind, g.cards) for g in groups] == expected
+
 
 class TestRandomDiscardGroup:
     @pytest.mark.parametrize(
@@ -193,12 +236,34 @@ class TestRandomDiscardGroup:
         # chi-square critical value at alpha=0.001 stays below 30 for df<=9
         assert chi2 < 30.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(hand=patterned_hands(), seed=st.integers(0, 2**32))
+    def test_draw_is_one_randrange_over_the_enumeration(self, hand, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        groups = engine.enumerate_legal_discards(hand)
+        # a hand with one legal group discards it without a draw
+        index = b.randrange(len(groups)) if len(groups) > 1 else 0
+        assert engine.random_discard_group(hand, a) == groups[index]
+        assert a.getstate() == b.getstate()
+
     def test_only_legal_groups(self):
         rng = random.Random(5)
         for _ in range(200):
             hand = rng.sample(engine.FULL_DECK, rng.randrange(1, 8))
             group = engine.random_discard_group(hand, rng)
             assert group in engine.enumerate_legal_discards(hand)
+
+
+class TestShuffleCards:
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 60), seed=st.integers(0, 2**32))
+    def test_same_permutation_and_draws_as_rng_shuffle(self, size, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        fast, reference = list(range(size)), list(range(size))
+        engine.shuffle_cards(fast, a)
+        b.shuffle(reference)
+        assert fast == reference
+        assert a.getstate() == b.getstate()
 
 
 class TestJhyapEligibility:

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
-from dhumbal import arena, learning
+from dhumbal import arena, engine, learning, search
 from dhumbal.arena import TournamentConfig
 
 SEARCH = {"iterations": 20, "time_limit_ms": None}
 
 GOLDEN = {
+    "determinize-playouts": "ee5905b4b77263bd28ca0beb2b5002604847cd3cd34ba1af6cf1b8ad3caff904",
     "rule-64": "9be73444e9dc7bcd071f3f45aee8af9d7f065f6cee4153a5aa53026ef5cbdc4a",
     "search-3": "00877a20ae14f7b449557735bc699562dc0686f01360a02242a2be9fa415ded9",
     "random-lineup": "17fbc81c61783be1f7d7aed1995046d620a578657ec815844b16aaef83b03b44",
@@ -74,7 +76,61 @@ def _learning(tmp_path) -> dict:
     return doc
 
 
+def _world_doc(state) -> list:
+    return [
+        [[list(card) for card in player.hand] for player in state.players],
+        [list(card) for card in state.stock],
+        [[int(group.kind), [list(card) for card in group.cards]]
+         for group in state.discard_stack],
+        state.current_player,
+        state.turn_count,
+        int(state.phase),
+    ]
+
+
+def _outcome_doc(outcome) -> list | None:
+    if outcome is None:
+        return None
+    return [outcome.winner, list(outcome.coin_delta), outcome.end_reason.value,
+            outcome.jhyap_declared_by, outcome.jhyap_succeeded]
+
+
+def _determinize_playouts(tmp_path) -> list:
+    """200 worlds: 10 determinizations for each of 20 positions of live
+    rounds (2 to 5 players), taken by the mover's belief tracker, and the
+    random playout of each world with its final state and next draw."""
+    doc = []
+    rng = random.Random(42)
+    positions = 0
+    while positions < 20:
+        num_players = 2 + positions % 4
+        state = engine.deal(num_players, rng, turn_limit=60, track_events=True)
+        trackers = [search.BeliefTracker(seat, num_players) for seat in range(num_players)]
+        for _ in range(rng.randrange(4, 120)):
+            actions = engine.legal_actions(state)
+            if engine.step(state, actions[rng.randrange(len(actions))]) is not None:
+                break
+            for event in state.events:
+                for tracker in trackers:
+                    tracker.update(event)
+            state.events.clear()
+        else:
+            seat = state.current_player
+            observation = engine.observation_for(state, seat)
+            belief = trackers[seat].snapshot(observation)
+            for world_seed in range(10):
+                world = search.determinize(
+                    belief, observation, random.Random(1000 * positions + world_seed))
+                sampled = _world_doc(world)
+                outcome = search._playout_outcome(world, world.rng, 200)
+                doc.append([sampled, _outcome_doc(outcome), _world_doc(world),
+                            world.rng.random()])
+            positions += 1
+    return doc
+
+
 CASES = {
+    "determinize-playouts": _determinize_playouts,
     "rule-64": _rule_64,
     "search-3": _search_3,
     "random-lineup": _random_lineup,
