@@ -1,8 +1,8 @@
 """Tournament orchestration for Dhumbal agents.
 
 Plays complete rounds between any mix of agents (rule-based, search,
-learning, random, human): each decision is asked of the agent for the
-phase at hand, timed with a monotonic clock, and applied with
+learning, random, human): each decision is asked of the agent through
+``engine.ask``, timed with a monotonic clock, and applied with
 ``engine.step``, which also reports when the round ends. The results
 are aggregated into metric summaries. Coin balances persist
 across a tournament's rounds; hands are redealt every round. Sequential
@@ -28,10 +28,11 @@ from .engine import (
     DiscardGroup,
     JhyapAction,
     Observation,
-    Phase,
     PickSource,
+    ask,
     can_declare_jhyap,
     deal,
+    forced_decline,
     hand_value,
     legal_actions,
     observation_for,
@@ -210,7 +211,10 @@ def run_round(
     turn_limit: int = 100,
     count_orbits: bool = False,
 ) -> RoundRecord:
-    """Play one full round; every agent decision is individually timed."""
+    """Play one full round. Each choice is asked of its agent through
+    ``engine.ask`` on one observation and timed; a forced decline, a Jhyap
+    check whose mover holds more than the threshold, is played without
+    asking, so it builds no observation and counts as no decision."""
     num_players = len(seating)
     agent_of_seat = list(seating)
     coins = (
@@ -238,42 +242,31 @@ def run_round(
     for seat in range(num_players):
         agents[agent_of_seat[seat]].begin_round(seat, num_players)
 
-    def timed(agent_index: int, decide, observation):
-        start = time.perf_counter()
-        choice = decide(observation, rng)
-        decision_ms[agent_index] += (time.perf_counter() - start) * 1000.0
-        decisions[agent_index] += 1
-        return choice
-
-    def broadcast() -> None:
+    outcome = round_termination(state)
+    while outcome is None:
+        if forced_decline(state):
+            action = JhyapAction.DECLINE
+        else:
+            seat = state.current_player
+            agent_index = agent_of_seat[seat]
+            obs = observation_for(state, seat)
+            start = time.perf_counter()
+            action = ask(agents[agent_index], obs, rng)
+            decision_ms[agent_index] += (time.perf_counter() - start) * 1000.0
+            decisions[agent_index] += 1
+            if isinstance(action, DiscardGroup):
+                cards_discarded[agent_index] += len(action.cards)
+                rewards[agent_index] += 1.0
+            elif isinstance(action, PickSource):
+                rewards[agent_index] += 1.0
+            elif action is JhyapAction.DECLARE:
+                jhyap_agent = agent_index
+                jhyap_value = obs.hand_value
+        outcome = step(state, action)
         for event in state.events:
             for agent in agents:
                 agent.observe(event)
         state.events.clear()
-
-    outcome = round_termination(state)
-    while outcome is None:
-        seat = state.current_player
-        agent_index = agent_of_seat[seat]
-        agent = agents[agent_index]
-        obs = observation_for(state, seat)
-        if state.phase is Phase.JHYAP_CHECK:
-            action = JhyapAction.DECLINE
-            if can_declare_jhyap(obs.own_hand) and timed(
-                agent_index, agent.decide_jhyap, obs
-            ):
-                action = JhyapAction.DECLARE
-                jhyap_agent = agent_index
-                jhyap_value = obs.hand_value
-        elif state.phase is Phase.DISCARD:
-            action = timed(agent_index, agent.decide_discard, obs)
-            cards_discarded[agent_index] += len(action.cards)
-            rewards[agent_index] += 1.0
-        else:
-            action = timed(agent_index, agent.decide_pick, obs)
-            rewards[agent_index] += 1.0
-        outcome = step(state, action)
-        broadcast()
 
     delta_by_agent = [0] * n_agents
     final_values = [0] * n_agents

@@ -9,7 +9,9 @@ or a same-suit run, then draws from the stockpile or the discard-pile top.
 The engine is deterministic given a seeded ``random.Random`` stream and
 offers per-step card-conservation checks, a phase machine, and per-player
 observations that hide opponent hands. Every player of a round, whatever
-the agent, moves through ``step`` and chooses among ``legal_actions``.
+the agent, moves through ``step`` and chooses among ``legal_actions``;
+``ask`` is the one place that turns the phase into an agent's ``decide_*``
+call, and ``forced_decline`` names the one move nobody is asked for.
 
 Legal discards come from one pattern scan over card codes,
 ``(rank - 1) * 4 + suit`` (a 0..51 int whose order is Card order):
@@ -793,6 +795,28 @@ def step(state: RoundState, action: Action) -> Optional[RoundOutcome]:
     else:
         apply_pick(state, action)
     return round_termination(state)
+
+
+def forced_decline(state: RoundState) -> bool:
+    """True at a Jhyap check whose mover holds more than the threshold:
+    DECLINE is the only legal action, so callers play it without asking."""
+    return state.phase is _JHYAP_CHECK and not can_declare_jhyap(
+        state.players[state.current_player].hand
+    )
+
+
+def ask(agent, observation: Observation, rng: random.Random) -> Action:
+    """The action ``agent`` chooses at ``observation``: the one place that
+    turns a phase into an agent call. A Jhyap check asks ``decide_jhyap``,
+    whose bool becomes DECLARE or DECLINE, a discard ``decide_discard`` and
+    a pick ``decide_pick``. Callers play a forced decline without asking;
+    see ``forced_decline``."""
+    phase = observation.phase
+    if phase is _JHYAP_CHECK:
+        return _DECLARE if agent.decide_jhyap(observation, rng) else _DECLINE
+    if phase is _DISCARD:
+        return agent.decide_discard(observation, rng)
+    return agent.decide_pick(observation, rng)
 
 
 def observation_for(state: RoundState, seat: int) -> Observation:

@@ -16,6 +16,12 @@ Actions are discretized to 128 indices:
     67..110 discard the longest run from (suit, start) (67 + suit*11 + start-1),
     111 pick stock, 112 pick discard top, 113..127 reserved (never legal).
 
+The table names a subset of ``engine.legal_actions``: full-rank sets only,
+and runs only up to the longest from their start. ``action_table`` builds
+it over the engine's list, so the mask is never wider than the legal set
+and legality is worked out in the engine alone; ``RoundEnv.step`` and
+``RLAgent`` look the chosen index up in it.
+
 Rewards: +1.0 per valid discard or pick, -10.0 for an invalid action
 (the environment then substitutes a uniformly random legal action), and
 the player's settlement coin delta when the round ends.
@@ -39,15 +45,15 @@ from .engine import (
     Card,
     DiscardGroup,
     GroupKind,
-    JHYAP_THRESHOLD,
     JhyapAction,
     Observation,
-    Phase,
     PickSource,
     RoundOutcome,
-    can_declare_jhyap,
+    ask,
     card_index,
     deal,
+    forced_decline,
+    legal_actions,
     observation_for,
     round_termination,
     step,
@@ -66,17 +72,6 @@ ACTION_PICK_TOP = 112
 
 REWARD_VALID = 1.0
 REWARD_INVALID = -10.0
-
-
-def reward(event: str, coin_delta: float = 0.0) -> float:
-    """Scalar reward for one environment event."""
-    if event in ("valid_discard", "valid_pick"):
-        return REWARD_VALID
-    if event == "invalid_action":
-        return REWARD_INVALID
-    if event == "settlement":
-        return float(coin_delta)
-    raise ValueError(f"unknown reward event {event!r}")
 
 
 def encode_state(observation: Observation) -> np.ndarray:
@@ -102,81 +97,47 @@ def encode_state(observation: Observation) -> np.ndarray:
     return vec
 
 
-def index_to_action(index: int, observation: Observation) -> Optional[Action]:
-    """Engine action for an index in the current phase, or None if illegal."""
-    phase = observation.phase
+def action_index(action: Action, hand: Sequence[Card]) -> Optional[int]:
+    """The index that names a legal action of ``hand``, or None for the
+    groups the table leaves out: a set that leaves a card of its rank in
+    the hand, and a run that stops short of the longest run from its
+    first card."""
+    if isinstance(action, JhyapAction):
+        return ACTION_DECLARE if action is JhyapAction.DECLARE else ACTION_DECLINE
+    if isinstance(action, PickSource):
+        return ACTION_PICK_STOCK if action is PickSource.STOCK else ACTION_PICK_TOP
+    first, last = action.cards[0], action.cards[-1]
+    if action.kind is GroupKind.SINGLE:
+        return ACTION_SINGLE_BASE + card_index(first)
+    if action.kind is GroupKind.SET:
+        held = sum(Card(first.rank, suit) in hand for suit in range(4))
+        return ACTION_RANK_SET_BASE + first.rank - 1 if held == len(action.cards) else None
+    if Card(last.rank + 1, last.suit) in hand:
+        return None
+    return ACTION_RUN_BASE + first.suit * 11 + first.rank - 1
+
+
+def action_table(observation: Observation) -> dict[int, Action]:
+    """Index -> engine action over ``engine.legal_actions(observation)``:
+    the legal moves the 128-way table names, and only those."""
     hand = observation.own_hand
-    if phase is Phase.JHYAP_CHECK:
-        if index == ACTION_DECLARE:
-            if observation.hand_value <= JHYAP_THRESHOLD:
-                return JhyapAction.DECLARE
-            return None
-        if index == ACTION_DECLINE:
-            return JhyapAction.DECLINE
-        return None
-    if phase is Phase.DISCARD:
-        if ACTION_SINGLE_BASE <= index < ACTION_RANK_SET_BASE:
-            flat = index - ACTION_SINGLE_BASE
-            card = Card(flat % 13 + 1, flat // 13)
-            if card in hand:
-                return DiscardGroup(GroupKind.SINGLE, (card,))
-            return None
-        if ACTION_RANK_SET_BASE <= index < ACTION_RUN_BASE:
-            rank = index - ACTION_RANK_SET_BASE + 1
-            same = tuple(sorted(c for c in hand if c.rank == rank))
-            if len(same) >= 2:
-                return DiscardGroup(GroupKind.SET, same)
-            return None
-        if ACTION_RUN_BASE <= index <= 110:
-            flat = index - ACTION_RUN_BASE
-            suit, start = divmod(flat, 11)
-            start += 1
-            held = {c.rank for c in hand if c.suit == suit}
-            run = []
-            rank = start
-            while rank in held:
-                run.append(Card(rank, suit))
-                rank += 1
-            if len(run) >= 3:
-                return DiscardGroup(GroupKind.SEQUENCE, tuple(run))
-            return None
-        return None
-    if index == ACTION_PICK_STOCK:
-        return PickSource.STOCK
-    if index == ACTION_PICK_TOP:
-        return PickSource.DISCARD_TOP if observation.discard_top is not None else None
-    return None
+    table = {}
+    for action in legal_actions(observation):
+        index = action_index(action, hand)
+        if index is not None:
+            table[index] = action
+    return table
+
+
+def _mask(indices) -> np.ndarray:
+    mask = np.zeros(NUM_ACTIONS, dtype=bool)
+    mask[list(indices)] = True
+    return mask
 
 
 def legal_action_mask(observation: Observation) -> np.ndarray:
-    """Boolean mask over all 128 indices for the observation's phase."""
-    mask = np.zeros(NUM_ACTIONS, dtype=bool)
-    phase = observation.phase
-    if phase is Phase.JHYAP_CHECK:
-        mask[ACTION_DECLINE] = True
-        if observation.hand_value <= JHYAP_THRESHOLD:
-            mask[ACTION_DECLARE] = True
-    elif phase is Phase.DISCARD:
-        hand = observation.own_hand
-        for card in hand:
-            mask[ACTION_SINGLE_BASE + card_index(card)] = True
-        by_rank: dict[int, int] = {}
-        by_suit: dict[int, set[int]] = {}
-        for card in hand:
-            by_rank[card.rank] = by_rank.get(card.rank, 0) + 1
-            by_suit.setdefault(card.suit, set()).add(card.rank)
-        for rank, count in by_rank.items():
-            if count >= 2:
-                mask[ACTION_RANK_SET_BASE + rank - 1] = True
-        for suit, ranks in by_suit.items():
-            for start in range(1, 12):
-                if start in ranks and start + 1 in ranks and start + 2 in ranks:
-                    mask[ACTION_RUN_BASE + suit * 11 + start - 1] = True
-    else:
-        mask[ACTION_PICK_STOCK] = True
-        if observation.discard_top is not None:
-            mask[ACTION_PICK_TOP] = True
-    return mask
+    """Boolean mask over all 128 indices: the keys of ``action_table``."""
+    return _mask(action_table(observation))
 
 
 # --- replay machinery ----------------------------------------------------
@@ -337,9 +298,9 @@ def gae(
     dones: Sequence[bool],
     gamma: float,
     lam: float,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Generalized advantage estimates, batch-normalized by default.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized advantage estimates from one backward pass: the returns
+    ``A_t + v_t`` (the critic's targets) and the batch-normalized ``A_t``.
 
     delta_t = r_t + gamma * v_{t+1} * (1 - done_t) - v_t
     A_t = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
@@ -349,7 +310,7 @@ def gae(
     continues = 1.0 - np.asarray(dones, dtype=float)
     horizon = len(rewards)
     if horizon == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0)
     advantages = np.zeros(horizon)
     running = 0.0
     for t in range(horizon - 1, -1, -1):
@@ -357,10 +318,8 @@ def gae(
         delta = rewards[t] + gamma * next_value * continues[t] - values[t]
         running = delta + gamma * lam * continues[t] * running
         advantages[t] = running
-    if not normalize:
-        return advantages
     std = float(np.std(advantages))
-    return (advantages - advantages.mean()) / max(std, 1e-8)
+    return advantages + values, (advantages - advantages.mean()) / max(std, 1e-8)
 
 
 def _actor_grad_logits(
@@ -519,6 +478,7 @@ class RoundEnv:
         self.turn_limit = turn_limit
         self.state = None
         self.outcome: Optional[RoundOutcome] = None
+        self._table: dict[int, Action] = {}
 
     def _agent_for(self, seat: int):
         offset = (seat - self.learner_seat) % self.num_players
@@ -544,27 +504,26 @@ class RoundEnv:
             if seat != self.learner_seat:
                 self._agent_for(seat).begin_round(seat, self.num_players)
         self._advance_to_learner()
-        obs = observation_for(self.state, self.learner_seat)
-        return encode_state(obs), legal_action_mask(obs), obs
+        return self._observe_learner()
 
     def _advance_to_learner(self) -> None:
         """Play opponent actions until the learner must act or the round ends."""
         state = self.state
         while self.outcome is None and state.current_player != self.learner_seat:
-            seat = state.current_player
-            agent = self._agent_for(seat)
-            obs = observation_for(state, seat)
-            if state.phase is Phase.JHYAP_CHECK:
-                declare = can_declare_jhyap(obs.own_hand) and agent.decide_jhyap(
-                    obs, self.rng
-                )
-                action = JhyapAction.DECLARE if declare else JhyapAction.DECLINE
-            elif state.phase is Phase.DISCARD:
-                action = agent.decide_discard(obs, self.rng)
+            if forced_decline(state):
+                action = JhyapAction.DECLINE
             else:
-                action = agent.decide_pick(obs, self.rng)
+                seat = state.current_player
+                action = ask(self._agent_for(seat), observation_for(state, seat), self.rng)
             self.outcome = step(state, action)
             self._broadcast_events()
+
+    def _observe_learner(self) -> tuple[np.ndarray, np.ndarray, Observation]:
+        """The learner's observation, its encoding and its mask. The action
+        table stays for the next ``step``; it is empty once the round ends."""
+        obs = observation_for(self.state, self.learner_seat)
+        self._table = action_table(obs) if self.outcome is None else {}
+        return encode_state(obs), _mask(self._table), obs
 
     def step(self, action_index: int):
         """Apply one learner decision.
@@ -573,35 +532,25 @@ class RoundEnv:
         indices cost -10 and a random legal action is played instead.
         """
         assert self.state is not None and self.outcome is None, "env needs reset"
-        state = self.state
-        obs = observation_for(state, self.learner_seat)
-        mask = legal_action_mask(obs)
-        if mask[action_index]:
-            action = index_to_action(action_index, obs)
-            step_reward = (
-                REWARD_VALID if obs.phase in (Phase.DISCARD, Phase.PICK) else 0.0
-            )
-            invalid = False
-        else:
-            legal = np.flatnonzero(mask)
-            substitute = int(legal[self.rng.randrange(len(legal))])
-            action = index_to_action(substitute, obs)
+        table = self._table
+        action = table.get(action_index)
+        invalid = action is None
+        if invalid:
+            indices = sorted(table)
+            action = table[indices[self.rng.randrange(len(indices))]]
             step_reward = REWARD_INVALID
-            invalid = True
+        else:
+            step_reward = 0.0 if isinstance(action, JhyapAction) else REWARD_VALID
 
-        self.outcome = step(state, action)
+        self.outcome = step(self.state, action)
         self._broadcast_events()
         self._advance_to_learner()
+        next_vec, next_mask, _ = self._observe_learner()
         done = self.outcome is not None
         if done:
             step_reward += float(self.outcome.coin_delta[self.learner_seat])
-            next_obs = observation_for(state, self.learner_seat)
-            next_mask = np.zeros(NUM_ACTIONS, dtype=bool)
-        else:
-            next_obs = observation_for(state, self.learner_seat)
-            next_mask = legal_action_mask(next_obs)
-        info = {"invalid": invalid, "outcome": self.outcome, "turns": state.turn_count}
-        return encode_state(next_obs), next_mask, step_reward, done, info
+        info = {"invalid": invalid, "outcome": self.outcome, "turns": self.state.turn_count}
+        return next_vec, next_mask, step_reward, done, info
 
 
 # --- training -------------------------------------------------------------
@@ -766,16 +715,7 @@ def train(
                     values=np.array([s[5] for s in steps]),
                     log_probs=np.array([s[6] for s in steps]),
                 )
-                raw = gae(
-                    batch.rewards,
-                    batch.values,
-                    batch.dones,
-                    core.cfg.gamma,
-                    core.cfg.gae_lambda,
-                    normalize=False,
-                )
-                batch.returns = raw + batch.values
-                batch.advantages = gae(
+                batch.returns, batch.advantages = gae(
                     batch.rewards,
                     batch.values,
                     batch.dones,
@@ -899,8 +839,9 @@ class RLAgent:
             scores = masked_policy(nn.forward(self.nets["actor"], state_vec), mask)
         return int(legal[int(np.argmax(scores[legal]))])
 
-    def _decide_index(self, observation: Observation) -> int:
-        return self.greedy_index(encode_state(observation), legal_action_mask(observation))
+    def _decide(self, observation: Observation) -> Action:
+        table = action_table(observation)
+        return table[self.greedy_index(encode_state(observation), _mask(table))]
 
     def begin_round(self, seat: int, num_players: int) -> None:
         pass
@@ -909,14 +850,10 @@ class RLAgent:
         pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
-        return self._decide_index(observation) == ACTION_DECLARE
+        return self._decide(observation) is JhyapAction.DECLARE
 
     def decide_discard(self, observation: Observation, rng: random.Random) -> DiscardGroup:
-        action = index_to_action(self._decide_index(observation), observation)
-        assert isinstance(action, DiscardGroup)
-        return action
+        return self._decide(observation)
 
     def decide_pick(self, observation: Observation, rng: random.Random) -> PickSource:
-        action = index_to_action(self._decide_index(observation), observation)
-        assert isinstance(action, PickSource)
-        return action
+        return self._decide(observation)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -523,13 +523,7 @@ def mcts_decide(
     rng: random.Random,
 ) -> Action:
     """Single-determinization tree search with frequency-based legality."""
-    single = SearchConfig(
-        iterations=cfg.iterations,
-        determinizations=1,
-        exploration_c=cfg.exploration_c,
-        max_rollout_depth=cfg.max_rollout_depth,
-        time_limit_ms=cfg.time_limit_ms,
-    )
+    single = replace(cfg, determinizations=1)
     return _TreeSearch(single, batch_legality=False).decide(observation, belief, rng)
 
 

@@ -162,6 +162,28 @@ class TestRunRound:
                 assert record.jhyap_succeeded is None
         assert saw_declaration
 
+    def test_one_observation_per_decision(self, monkeypatch):
+        observed, jhyap_values = [], []
+        original_observation = arena.observation_for
+        original_jhyap = HeuristicAgent.decide_jhyap
+
+        def observation_spy(state, seat):
+            observed.append(seat)
+            return original_observation(state, seat)
+
+        def jhyap_spy(agent, obs, rng):
+            jhyap_values.append(obs.hand_value)
+            return original_jhyap(agent, obs, rng)
+
+        monkeypatch.setattr(arena, "observation_for", observation_spy)
+        monkeypatch.setattr(HeuristicAgent, "decide_jhyap", jhyap_spy)
+        result = run_tournament(TournamentConfig(
+            agents=["aggressive", "conservative", "balanced", "opportunistic"],
+            rounds=32, seed=11))
+        assert len(observed) == sum(sum(r.decisions) for r in result.records)
+        # a forced decline asks nobody
+        assert jhyap_values and max(jhyap_values) <= 10
+
 
 class TestRunTournament:
     def rule_config(self, rounds=64, **kw):

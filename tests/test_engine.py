@@ -19,6 +19,7 @@ from dhumbal.engine import (
     PickSource,
     Suit,
 )
+from helpers import patterned_hands
 
 SUIT_BY_LETTER = {"C": Suit.CLUBS, "D": Suit.DIAMONDS, "H": Suit.HEARTS, "S": Suit.SPADES}
 RANK_BY_SYMBOL = {"A": 1, "J": 11, "Q": 12, "K": 13, **{str(r): r for r in range(2, 11)}}
@@ -79,25 +80,6 @@ def oracle_order(hand, pair) -> tuple:
     while Card(first - 1, suit) in hand:
         first -= 1
     return (2, suit, first, len(combo), low)
-
-
-@st.composite
-def patterned_hands(draw):
-    """Hands of 1 to 8 distinct cards, in any order, that often hold a set
-    of 3 or 4 and a run of 5 or more."""
-    found = []
-    if draw(st.booleans()):
-        length = draw(st.integers(3, 8))
-        start = draw(st.integers(1, 14 - length))
-        suit = draw(st.integers(0, 3))
-        found += [Card(rank, suit) for rank in range(start, start + length)]
-    if draw(st.booleans()):
-        rank = draw(st.integers(1, 13))
-        suits = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
-        found += [Card(rank, suit) for suit in suits]
-    found += draw(st.lists(st.sampled_from(engine.FULL_DECK), max_size=8))
-    hand = list(dict.fromkeys(found))[:8] or [draw(st.sampled_from(engine.FULL_DECK))]
-    return draw(st.permutations(hand))
 
 
 class TestCardValues:

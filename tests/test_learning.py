@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhumbal import engine, learning
 from dhumbal import neuralnet as nn
-from dhumbal.arena import RandomAgent
+from dhumbal.arena import RandomAgent, run_round
 from dhumbal.engine import Phase, PickSource
 from dhumbal.heuristics import HeuristicAgent
 from dhumbal.learning import (
@@ -23,21 +26,72 @@ from dhumbal.learning import (
     RLAgent,
     RoundEnv,
     Transition,
+    action_table,
     checkpoint_select,
     convergence_check,
     dqn_select,
     encode_state,
     gae,
-    index_to_action,
     legal_action_mask,
     masked_policy,
     policy_entropy,
-    reward,
     save_learning_checkpoint,
     train,
     _actor_grad_logits,
 )
-from helpers import c, cards, make_obs, single
+from helpers import c, cards, make_obs, patterned_hands, single
+
+
+def spec_table(obs) -> dict:
+    """The action table as the module docstring specifies it, derived from
+    the rules alone: index -> the engine action it names."""
+    hand = set(obs.own_hand)
+    if obs.phase is Phase.JHYAP_CHECK:
+        table = {ACTION_DECLINE: engine.JhyapAction.DECLINE}
+        if sum(card.rank for card in hand) <= 10:
+            table[ACTION_DECLARE] = engine.JhyapAction.DECLARE
+        return table
+    if obs.phase is Phase.PICK:
+        table = {ACTION_PICK_STOCK: PickSource.STOCK}
+        if len(obs.discard_pile_groups) >= 2:
+            table[ACTION_PICK_TOP] = PickSource.DISCARD_TOP
+        return table
+    table = {}
+    for card in hand:
+        table[2 + card.suit * 13 + card.rank - 1] = (card,)
+    for rank in range(1, 14):
+        same = sorted(card for card in hand if card.rank == rank)
+        if len(same) >= 2:
+            table[54 + rank - 1] = tuple(same)
+    for suit in range(4):
+        for start in range(1, 12):
+            run = []
+            while engine.Card(start + len(run), suit) in hand:
+                run.append(engine.Card(start + len(run), suit))
+            if len(run) >= 3:
+                table[67 + suit * 11 + start - 1] = tuple(run)
+    return table
+
+
+@st.composite
+def learner_observations(draw):
+    """Observations of a live round in any phase: hands of 1 to 8 cards that
+    often hold sets and long runs, Jhyap checks on either side of the
+    threshold, and picks with and without a reachable pile top."""
+    phase = draw(st.sampled_from(list(Phase)))
+    hand = draw(patterned_hands())
+    rest = [card for card in engine.FULL_DECK if card not in hand]
+    pile = [single(card) for card in
+            draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))]
+    stock = draw(st.integers(0, 40))
+    # a pick with an empty stock and nothing to reshuffle has ended the round
+    if phase is Phase.PICK and stock == 0 and len(pile) < 2:
+        stock = 1
+    obs = make_obs(hand, pile, [5], stock, phase=phase)
+    if phase is Phase.PICK:  # the pickable top lies below the mover's own group
+        top = pile[-2].top if len(pile) >= 2 else None
+        obs = dataclasses.replace(obs, discard_top=top)
+    return obs
 
 
 class TestEncodeState:
@@ -86,6 +140,18 @@ class TestEncodeState:
 
 
 class TestActionTable:
+    @settings(max_examples=300, deadline=None)
+    @given(learner_observations())
+    def test_table_matches_spec_and_engine(self, obs):
+        table = action_table(obs)
+        expected = spec_table(obs)
+        assert set(table) == set(expected)
+        legal = engine.legal_actions(obs)
+        for index, action in table.items():
+            assert action in legal
+            named = action.cards if isinstance(action, engine.DiscardGroup) else action
+            assert named == expected[index]
+
     def test_jhyap_check_above_threshold(self):
         obs = make_obs(cards("KH", "QD"), [], [5], 44)  # V=25
         mask = legal_action_mask(obs)
@@ -135,14 +201,12 @@ class TestActionTable:
     def test_run_action_takes_longest_run(self):
         hand = cards("AC", "2C", "3C", "4C", "KH")
         obs = make_obs(hand, [single(c("KC"))], [5], 40, phase=Phase.DISCARD)
-        mask = legal_action_mask(obs)
+        table = action_table(obs)
         start_ace = 67 + engine.Suit.CLUBS * 11 + 0
-        assert mask[start_ace]
-        action = index_to_action(start_ace, obs)
-        assert action.cards == tuple(sorted(cards("AC", "2C", "3C", "4C")))
+        assert table[start_ace].cards == tuple(sorted(cards("AC", "2C", "3C", "4C")))
         start_two = 67 + engine.Suit.CLUBS * 11 + 1
-        action = index_to_action(start_two, obs)
-        assert action.cards == tuple(sorted(cards("2C", "3C", "4C")))
+        assert table[start_two].cards == tuple(sorted(cards("2C", "3C", "4C")))
+        assert legal_action_mask(obs)[67:111].sum() == 2  # no index for A-2-3
 
     def test_every_legal_index_maps_to_engine_action(self):
         rng = random.Random(9)
@@ -150,26 +214,10 @@ class TestActionTable:
             state = engine.deal(rng.randrange(2, 6), rng, validate=False)
             state.phase = rng.choice(list(Phase))
             obs = engine.observation_for(state, 0)
-            mask = legal_action_mask(obs)
+            table = action_table(obs)
             legal = engine.legal_actions(obs)
-            for index in np.flatnonzero(mask):
-                action = index_to_action(int(index), obs)
-                assert action is not None
-                assert action in legal
-            for index in np.flatnonzero(~mask):
-                assert index_to_action(int(index), obs) is None
-
-
-class TestReward:
-    def test_fixed_values(self):
-        assert reward("valid_discard") == 1.0
-        assert reward("valid_pick") == 1.0
-        assert reward("invalid_action") == -10.0
-        assert reward("settlement", 55.0) == 55.0
-
-    def test_unknown_event(self):
-        with pytest.raises(ValueError):
-            reward("bogus")
+            assert all(action in legal for action in table.values())
+            assert set(np.flatnonzero(legal_action_mask(obs))) == set(table)
 
 
 class TestReplayBuffer:
@@ -312,14 +360,15 @@ class TestDqnTrainStep:
 
 class TestGae:
     def test_single_terminal_step_raw(self):
-        raw = gae([1.0], [0.5], [True], 0.99, 0.95, normalize=False)
-        assert raw[0] == pytest.approx(0.5)
+        returns, _ = gae([1.0], [0.5], [True], 0.99, 0.95)
+        assert returns[0] - 0.5 == pytest.approx(0.5)
 
     def test_lambda_zero_gives_td_residuals(self):
         rewards = [1.0, 2.0, 3.0]
         values = [0.5, 1.0, 1.5]
         dones = [False, False, True]
-        raw = gae(rewards, values, dones, 0.9, 0.0, normalize=False)
+        returns, _ = gae(rewards, values, dones, 0.9, 0.0)
+        raw = returns - np.array(values)
         deltas = [
             1.0 + 0.9 * 1.0 - 0.5,
             2.0 + 0.9 * 1.5 - 1.0,
@@ -334,12 +383,13 @@ class TestGae:
             rewards = [rng.uniform(-5, 5) for _ in range(n)]
             values = [rng.uniform(-5, 5) for _ in range(n)]
             dones = [False] * (n - 1) + [True]
-            adv = gae(rewards, values, dones, 0.99, 0.95)
+            _, adv = gae(rewards, values, dones, 0.99, 0.95)
             assert abs(adv.mean()) < 1e-9
             assert abs(adv.std() - 1.0) < 1e-9
 
     def test_empty_input(self):
-        assert gae([], [], [], 0.99, 0.95).size == 0
+        returns, advantages = gae([], [], [], 0.99, 0.95)
+        assert returns.size == 0 and advantages.size == 0
 
 
 class TestMaskedPolicy:
@@ -458,9 +508,11 @@ class TestRoundEnv:
         state_vec, mask, r0, done, _ = env.step(ACTION_DECLINE)
         assert r0 == 0.0 and not done
         legal = np.flatnonzero(mask)
-        _, _, r1, done, _ = env.step(int(legal[0]))
-        if not done:  # discard settles the round only on an emptied hand
-            assert r1 == 1.0
+        _, mask, r1, done, _ = env.step(int(legal[0]))
+        assert r1 == 1.0 and not done  # a valid discard
+        assert env.state.phase is Phase.PICK
+        _, _, r2, done, _ = env.step(ACTION_PICK_STOCK)
+        assert r2 == 1.0 and not done  # a valid pick
 
     def test_invalid_action_costs_ten_and_substitutes(self):
         env = self.make_env(seed=12)
@@ -472,6 +524,41 @@ class TestRoundEnv:
             assert step_reward == -10.0
         # play continued: the engine state advanced past the jhyap check
         assert env.state.phase is not None
+
+    def test_one_observation_per_asked_decision(self, monkeypatch):
+        observed, asked, jhyap_values = [], [], []
+        original_observation = learning.observation_for
+        original_jhyap = HeuristicAgent.decide_jhyap
+
+        def observation_spy(state, seat):
+            observed.append(seat)
+            return original_observation(state, seat)
+
+        def jhyap_spy(agent, obs, rng):
+            jhyap_values.append(obs.hand_value)
+            return original_jhyap(agent, obs, rng)
+
+        monkeypatch.setattr(learning, "observation_for", observation_spy)
+        monkeypatch.setattr(HeuristicAgent, "decide_jhyap", jhyap_spy)
+        def counted(original):
+            def decide(agent, obs, rng):
+                asked.append(obs.seat)
+                return original(agent, obs, rng)
+            return decide
+
+        for name in ("decide_discard", "decide_pick"):
+            monkeypatch.setattr(HeuristicAgent, name, counted(getattr(HeuristicAgent, name)))
+        env = RoundEnv(learning.default_opponents()[:3], random.Random(21))
+        learner_views = 0
+        for _ in range(8):
+            _, mask, _ = env.reset()
+            learner_views += 1
+            done = env.outcome is not None
+            while not done:
+                _, mask, _, done, _ = env.step(int(np.flatnonzero(mask)[0]))
+                learner_views += 1
+        assert jhyap_values and max(jhyap_values) <= 10  # forced declines ask nobody
+        assert len(observed) == learner_views + len(asked) + len(jhyap_values)
 
     def test_settlement_added_to_final_reward(self):
         env = self.make_env(seed=13)
@@ -570,32 +657,9 @@ class TestRLAgentPlay:
         path = tmp_path / "ppo.json"
         save_learning_checkpoint("ppo", core, path, episode=1)
         agent = RLAgent.from_checkpoint(path)
-        rng = random.Random(5)
-        state = engine.deal(2, rng)
-        agent.begin_round(0, 2)
-        opponent = RandomAgent()
-        opponent.begin_round(1, 2)
-        players = [agent, opponent]
-        outcome = None
-        while outcome is None:
-            outcome = engine.round_termination(state)
-            if outcome:
-                break
-            seat = state.current_player
-            actor = players[seat]
-            obs = engine.observation_for(state, seat)
-            if engine.can_declare_jhyap(obs.own_hand) and actor.decide_jhyap(obs, rng):
-                outcome = engine.resolve_jhyap(state)
-                break
-            engine.skip_jhyap(state)
-            obs = engine.observation_for(state, seat)
-            engine.apply_discard(state, actor.decide_discard(obs, rng))
-            outcome = engine.round_termination(state)
-            if outcome:
-                break
-            obs = engine.observation_for(state, seat)
-            engine.apply_pick(state, actor.decide_pick(obs, rng))
-        assert sum(outcome.coin_delta) == 0
+        # run_round deals a validated state, so an illegal action raises
+        record = run_round([agent, RandomAgent()], [0, 1], random.Random(5))
+        assert sum(record.coin_delta) == 0
 
     def test_kind_mismatch_between_nets_and_kind(self, tmp_path):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhumbal import engine, search
+from dhumbal import arena, engine, search
 from dhumbal.engine import (
     Card,
     DiscardGroup,
@@ -531,37 +531,10 @@ class TestTreeInvariants:
 
 class TestSearchAgentFlow:
     def test_agent_plays_a_full_round_legally(self):
-        rng = random.Random(21)
-        state = engine.deal(2, rng, track_events=True)
         agents = [
             search.SearchAgent("mcts", SearchConfig(iterations=12, time_limit_ms=None)),
             search.SearchAgent("ismcts", SearchConfig(iterations=12, time_limit_ms=None)),
         ]
-        for seat, agent in enumerate(agents):
-            agent.begin_round(seat, 2)
-        outcome = None
-        while outcome is None:
-            outcome = engine.round_termination(state)
-            if outcome:
-                break
-            seat = state.current_player
-            agent = agents[seat]
-            obs = engine.observation_for(state, seat)
-            if engine.can_declare_jhyap(obs.own_hand) and agent.decide_jhyap(obs, rng):
-                outcome = engine.resolve_jhyap(state)
-                break
-            engine.skip_jhyap(state)
-            obs = engine.observation_for(state, seat)
-            group = agent.decide_discard(obs, rng)
-            engine.apply_discard(state, group)  # raises if the action is illegal
-            outcome = engine.round_termination(state)
-            if outcome:
-                break
-            obs = engine.observation_for(state, seat)
-            source = agent.decide_pick(obs, rng)
-            engine.apply_pick(state, source)
-            for event in state.events:
-                for other in agents:
-                    other.observe(event)
-            state.events.clear()
-        assert sum(outcome.coin_delta) == 0
+        # run_round deals a validated state, so an illegal action raises
+        record = arena.run_round(agents, [0, 1], random.Random(21))
+        assert sum(record.coin_delta) == 0
