@@ -19,7 +19,7 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -127,7 +127,6 @@ class TournamentConfig:
     seed: int = 42
     seating: str = "random"  # "random" (per round) or "fixed"
     turn_limit: int = 100
-    count_orbits: bool = False
     workers: int = 1
     starting_coins: int = 10_000
 
@@ -144,16 +143,7 @@ class TournamentConfig:
             raise ValueError("workers must be >= 1")
 
     def to_doc(self) -> dict:
-        return {
-            "agents": self.agents,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "seating": self.seating,
-            "turn_limit": self.turn_limit,
-            "count_orbits": self.count_orbits,
-            "workers": self.workers,
-            "starting_coins": self.starting_coins,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TournamentConfig":
@@ -209,7 +199,6 @@ def run_round(
     balances: Optional[Sequence[int]] = None,
     round_index: int = 0,
     turn_limit: int = 100,
-    count_orbits: bool = False,
 ) -> RoundRecord:
     """Play one full round. Each choice is asked of its agent through
     ``engine.ask`` on one observation and timed; a forced decline, a Jhyap
@@ -228,7 +217,6 @@ def run_round(
         coins=coins,
         round_index=round_index,
         turn_limit=turn_limit,
-        count_orbits=count_orbits,
         track_events=True,
     )
     n_agents = len(agents)
@@ -340,7 +328,6 @@ def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
                 balances=balances,
                 round_index=round_index,
                 turn_limit=config.turn_limit,
-                count_orbits=config.count_orbits,
             )
             assert sum(record.coin_delta) == 0
             for index in range(n):
@@ -370,7 +357,6 @@ def _parallel_round(payload: tuple[str, int]) -> RoundRecord:
         balances=[config.starting_coins] * len(agents),
         round_index=round_index,
         turn_limit=config.turn_limit,
-        count_orbits=config.count_orbits,
     )
 
 

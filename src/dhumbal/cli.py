@@ -9,6 +9,7 @@ codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -49,6 +50,13 @@ def default_out_dir() -> Path:
     return Path(os.environ.get("DHUMBAL_OUT", "results"))
 
 
+TIME_LIMIT_HELP = (
+    "wall-clock cut per search decision, on top of --iterations (default: "
+    "none, so runs replay; a run with a limit depends on machine speed and "
+    "does not replay)"
+)
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="dhumbal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,7 +77,7 @@ def build_parser() -> CliParser:
     t.add_argument("--players", type=int, default=None)
     t.add_argument("--iterations", type=int, default=None)
     t.add_argument("--determinizations", type=int, default=3)
-    t.add_argument("--time-limit-ms", type=int, default=None)
+    t.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
     t.add_argument("--checkpoint", nargs="+", type=Path, default=None,
                    help="checkpoints for kind=learning (ppo and dqn)")
 
@@ -79,7 +87,7 @@ def build_parser() -> CliParser:
                    help="trained PPO checkpoint (required)")
     c.add_argument("--iterations", type=int, default=None)
     c.add_argument("--determinizations", type=int, default=3)
-    c.add_argument("--time-limit-ms", type=int, default=None)
+    c.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
 
     tr = sub.add_parser("train", help="train a learning agent")
     tr.add_argument("kind", choices=["dqn", "ppo"])
@@ -113,10 +121,7 @@ def _search_spec(kind: str, args) -> dict:
     spec: dict = {"kind": kind, "determinizations": args.determinizations}
     if args.iterations is not None:
         spec["iterations"] = args.iterations
-        # an explicit iteration budget runs untruncated unless a limit is given
-        spec["time_limit_ms"] = args.time_limit_ms
-    elif args.time_limit_ms is not None:
-        spec["time_limit_ms"] = args.time_limit_ms
+    spec["time_limit_ms"] = args.time_limit_ms
     return spec
 
 
@@ -210,22 +215,33 @@ def write_summary_json(
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _report_text(summary: analytics.MetricsSummary, comparisons, title: str) -> str:
+    """The text of report.txt: the metric table, then the comparisons."""
+    report = analytics.report_text(summary, title)
+    return report + "\n" + analytics.comparisons_text(comparisons)
+
+
+def _write_reports(out_dir: Path, report: str, summary, comparisons, names,
+                   result: Optional[arena.TournamentResult] = None) -> None:
+    """report.txt, comparisons.csv and summary.json in ``out_dir``; a
+    tournament result adds its config and balances to the summary."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.txt").write_text(report)
+    write_comparisons_csv(comparisons, out_dir / "comparisons.csv")
+    write_summary_json(out_dir / "summary.json", summary, names, result)
+
+
 def write_artifacts(result: arena.TournamentResult, out_dir: Path, title: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     arena.records_to_csv(result.records, result.names, out_dir / "records.csv")
-    write_summary_json(out_dir / "summary.json", result.summary, result.names, result)
     comparisons = analytics.pairwise_comparisons(result.records, result.names)
-    write_comparisons_csv(comparisons, out_dir / "comparisons.csv")
-    report = analytics.report_text(result.summary, title)
-    report += "\n" + analytics.comparisons_text(comparisons)
-    (out_dir / "report.txt").write_text(report)
+    report = _report_text(result.summary, comparisons, title)
+    _write_reports(out_dir, report, result.summary, comparisons, result.names, result)
     print(report)
     print(f"artifacts written to {out_dir}/")
 
 
 def write_comparisons_csv(comparisons, path: Path) -> None:
-    import csv
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -255,8 +271,6 @@ SUMMARY_CSV_COLUMNS = [
 
 
 def summary_to_csv(summary: analytics.MetricsSummary, path: Path) -> None:
-    import csv
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_CSV_COLUMNS)
@@ -269,8 +283,6 @@ def summary_to_csv(summary: analytics.MetricsSummary, path: Path) -> None:
 
 
 def summary_from_csv(path: Path) -> analytics.MetricsSummary:
-    import csv
-
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         agents = []
@@ -351,14 +363,10 @@ def cmd_report(args) -> int:
     records, names = _load_records(args.records)
     summary = analytics.summarize(records, names)
     comparisons = analytics.pairwise_comparisons(records, names)
-    report = analytics.report_text(summary, f"Report over {args.records}")
-    report += "\n" + analytics.comparisons_text(comparisons)
+    report = _report_text(summary, comparisons, f"Report over {args.records}")
     print(report, end="")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "report.txt").write_text(report)
-        write_comparisons_csv(comparisons, args.out / "comparisons.csv")
-        write_summary_json(args.out / "summary.json", summary, names)
+        _write_reports(args.out, report, summary, comparisons, names)
         print(f"artifacts written to {args.out}/")
     return 0
 

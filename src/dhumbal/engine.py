@@ -72,22 +72,12 @@ def card_index(card: Card) -> int:
     return card.suit * 13 + card.rank - 1
 
 
-def card_value(rank: int) -> int:
-    """Point value of a rank: Ace=1, 2..10 at face value, J/Q/K=11/12/13.
-
-    With ranks encoded as 1..13 the value function is the identity; the
-    function still guards the domain.
-    """
-    if not 1 <= rank <= 13:
-        raise ValueError(f"rank out of range 1..13: {rank}")
-    return rank
-
-
 _rank_of = itemgetter(0)  # Card.rank by position, cheaper than the attribute
 
 
 def hand_value(hand: Sequence[Card]) -> int:
-    """Sum of card values over a hand; 0 for an empty hand."""
+    """Sum of card values over a hand; 0 for an empty hand. A card is worth
+    its rank: Ace=1, 2..10 at face value, J/Q/K=11/12/13."""
     return sum(map(_rank_of, hand))
 
 
@@ -447,7 +437,6 @@ class RoundState:
         "phase",
         "rng",
         "turn_limit",
-        "count_orbits",
         "round_index",
         "validate",
         "events",
@@ -461,7 +450,6 @@ class RoundState:
         rng: random.Random,
         *,
         turn_limit: int = 100,
-        count_orbits: bool = False,
         round_index: int = 0,
         validate: bool = True,
         track_events: bool = False,
@@ -474,7 +462,6 @@ class RoundState:
         self.phase = _JHYAP_CHECK
         self.rng = rng
         self.turn_limit = turn_limit
-        self.count_orbits = count_orbits
         self.round_index = round_index
         self.validate = validate
         # None when nobody listens; the apply_* ops then build no events
@@ -495,7 +482,6 @@ class RoundState:
         copy.phase = self.phase
         copy.rng = rng if rng is not None else self.rng
         copy.turn_limit = self.turn_limit
-        copy.count_orbits = self.count_orbits
         copy.round_index = self.round_index
         copy.validate = False
         copy.events = None
@@ -518,7 +504,6 @@ def deal(
     *,
     coins: Optional[Sequence[int]] = None,
     turn_limit: int = 100,
-    count_orbits: bool = False,
     round_index: int = 0,
     validate: bool = True,
     track_events: bool = False,
@@ -546,7 +531,6 @@ def deal(
         [DiscardGroup(_SINGLE, (flip,))],
         rng,
         turn_limit=turn_limit,
-        count_orbits=count_orbits,
         round_index=round_index,
         validate=validate,
         track_events=track_events,
@@ -615,8 +599,8 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
     """Draw one card into the current hand, then pass the turn.
 
     Stock draws reshuffle the older discards back in whenever the stock
-    runs dry (the newest group always stays on the pile). The turn counter
-    advances per player action, or per full orbit when ``count_orbits``.
+    runs dry (the newest group always stays on the pile). Every pick
+    advances the turn counter by one, so ``turn_limit`` counts player turns.
     """
     if state.phase is not _PICK:
         raise IllegalActionError("not in the Pick phase")
@@ -647,10 +631,8 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
         if state.events is not None:
             state.events.append(PickedTop(seat, card))
 
-    next_player = seat + 1 if seat + 1 < len(players) else 0
-    if next_player == 0 or not state.count_orbits:
-        state.turn_count += 1
-    state.current_player = next_player
+    state.turn_count += 1
+    state.current_player = seat + 1 if seat + 1 < len(players) else 0
     state.phase = _JHYAP_CHECK
     if state.validate:
         state._check_conservation()

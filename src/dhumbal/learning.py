@@ -55,7 +55,6 @@ from .engine import (
     forced_decline,
     legal_actions,
     observation_for,
-    round_termination,
     step,
 )
 
@@ -281,10 +280,7 @@ class DQNAgentCore:
 
 def masked_policy(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over legal logits; illegal entries get exactly zero mass."""
-    masked = np.where(mask, logits, -np.inf)
-    shifted = masked - np.max(masked, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    return nn.softmax(np.where(mask, logits, -np.inf))
 
 
 def policy_entropy(probs: np.ndarray) -> np.ndarray:
@@ -454,35 +450,24 @@ def ppo_update(
 # --- environment ----------------------------------------------------------
 
 class RoundEnv:
-    """One round of Dhumbal as an episodic environment for one learner seat.
+    """One round of Dhumbal as an episodic environment for a learner at
+    seat 0, with ``opponents`` at seats 1, 2, ... in order.
 
     Opponents play automatically between the learner's decision points;
-    every learner decision (including forced ones) is one step.
+    every learner decision (including forced ones) is one step. ``deal``
+    gives seat 0 the first turn, so ``reset`` always leaves the learner at
+    a live Jhyap check, and a round's settlement lands on a ``step``.
     """
 
-    def __init__(
-        self,
-        opponents,
-        rng: random.Random,
-        learner_seat: int = 0,
-        round_index: int = 0,
-        turn_limit: int = 100,
-    ):
+    def __init__(self, opponents, rng: random.Random):
         self.opponents = list(opponents)
         self.num_players = len(self.opponents) + 1
         if not 2 <= self.num_players <= 5:
             raise ValueError("need 1..4 opponents")
         self.rng = rng
-        self.learner_seat = learner_seat
-        self.round_index = round_index
-        self.turn_limit = turn_limit
         self.state = None
         self.outcome: Optional[RoundOutcome] = None
         self._table: dict[int, Action] = {}
-
-    def _agent_for(self, seat: int):
-        offset = (seat - self.learner_seat) % self.num_players
-        return self.opponents[offset - 1]
 
     def _broadcast_events(self) -> None:
         for event in self.state.events:
@@ -491,37 +476,28 @@ class RoundEnv:
         self.state.events.clear()
 
     def reset(self) -> tuple[np.ndarray, np.ndarray, Observation]:
-        self.state = deal(
-            self.num_players,
-            self.rng,
-            round_index=self.round_index,
-            turn_limit=self.turn_limit,
-            validate=False,
-            track_events=True,
-        )
-        self.outcome = round_termination(self.state)
-        for seat in range(self.num_players):
-            if seat != self.learner_seat:
-                self._agent_for(seat).begin_round(seat, self.num_players)
-        self._advance_to_learner()
+        self.state = deal(self.num_players, self.rng, validate=False, track_events=True)
+        self.outcome = None
+        for seat, opponent in enumerate(self.opponents, start=1):
+            opponent.begin_round(seat, self.num_players)
         return self._observe_learner()
 
     def _advance_to_learner(self) -> None:
         """Play opponent actions until the learner must act or the round ends."""
         state = self.state
-        while self.outcome is None and state.current_player != self.learner_seat:
+        while self.outcome is None and state.current_player != 0:
             if forced_decline(state):
                 action = JhyapAction.DECLINE
             else:
                 seat = state.current_player
-                action = ask(self._agent_for(seat), observation_for(state, seat), self.rng)
+                action = ask(self.opponents[seat - 1], observation_for(state, seat), self.rng)
             self.outcome = step(state, action)
             self._broadcast_events()
 
     def _observe_learner(self) -> tuple[np.ndarray, np.ndarray, Observation]:
         """The learner's observation, its encoding and its mask. The action
         table stays for the next ``step``; it is empty once the round ends."""
-        obs = observation_for(self.state, self.learner_seat)
+        obs = observation_for(self.state, 0)
         self._table = action_table(obs) if self.outcome is None else {}
         return encode_state(obs), _mask(self._table), obs
 
@@ -548,7 +524,7 @@ class RoundEnv:
         next_vec, next_mask, _ = self._observe_learner()
         done = self.outcome is not None
         if done:
-            step_reward += float(self.outcome.coin_delta[self.learner_seat])
+            step_reward += float(self.outcome.coin_delta[0])
         info = {"invalid": invalid, "outcome": self.outcome, "turns": self.state.turn_count}
         return next_vec, next_mask, step_reward, done, info
 
@@ -573,8 +549,14 @@ class TrainResult:
     core: object  # DQNAgentCore | PPOAgentCore
 
 
+# per-algorithm win-rate thresholds, and the episodes in each of the two
+# windows that ``train`` compares
+CONVERGENCE_THRESHOLDS = {"dqn": 0.05, "ppo": 0.02}
+CONVERGENCE_WINDOW = 500
+
+
 def convergence_check(
-    win_rates: Sequence[float], window: int = 500, threshold: float = 0.05
+    win_rates: Sequence[float], window: int = CONVERGENCE_WINDOW, threshold: float = 0.05
 ) -> bool:
     """True when the last two windows' mean win rates differ by < threshold."""
     if len(win_rates) < 2 * window:
@@ -624,9 +606,6 @@ def load_learning_checkpoint(path: Path):
         raise nn.CheckpointError(f"malformed learning checkpoint {path}: {exc!r}") from exc
 
 
-CONVERGENCE_THRESHOLDS = {"dqn": 0.05, "ppo": 0.02}
-
-
 def train(
     kind: str,
     opponents=None,
@@ -635,14 +614,13 @@ def train(
     *,
     checkpoint_every: Optional[int] = None,
     out_dir: Optional[Path] = None,
-    convergence_window: int = 500,
-    stop_on_convergence: bool = True,
 ) -> TrainResult:
     """Train a DQN or PPO learner over one-round episodes.
 
     Writes periodic checkpoints and a per-episode curve CSV when given an
-    output directory; stops early once the win-rate change over the
-    convergence window falls under the per-algorithm threshold.
+    output directory; stops early once the win-rate change between the last
+    two ``CONVERGENCE_WINDOW``-episode windows falls under the per-algorithm
+    threshold.
     """
     if kind not in ("dqn", "ppo"):
         raise ValueError(f"unknown learner kind {kind!r}")
@@ -675,18 +653,13 @@ def train(
     wins: list[float] = []
     for episode in range(1, episodes + 1):
         state_vec, mask, _ = env.reset()
-        # the round can settle before the learner's first decision when the
-        # learner is not at seat 0; the settlement still lands on them
-        done = env.outcome is not None
-        total_reward = (
-            float(env.outcome.coin_delta[env.learner_seat]) if done else 0.0
-        )
+        done = False
+        total_reward = 0.0
         losses: list[float] = []
-        info = {"turns": env.state.turn_count, "outcome": env.outcome}
         if kind == "dqn":
             while not done:
                 action = dqn_select(core.net, state_vec, epsilon, mask, rng)
-                next_vec, next_mask, step_reward, done, info = env.step(action)
+                next_vec, next_mask, step_reward, done, _ = env.step(action)
                 buffer.push(
                     Transition(state_vec, action, step_reward, next_vec, done, next_mask)
                 )
@@ -701,52 +674,46 @@ def train(
             while not done:
                 action, log_prob = core.sample_action(state_vec, mask, rng)
                 value = core.value(state_vec)
-                next_vec, next_mask, step_reward, done, info = env.step(action)
+                next_vec, next_mask, step_reward, done, _ = env.step(action)
                 steps.append((state_vec, mask, action, step_reward, done, value, log_prob))
                 total_reward += step_reward
                 state_vec, mask = next_vec, next_mask
-            if steps:
-                batch = TrajectoryBatch(
-                    states=np.stack([s[0] for s in steps]),
-                    masks=np.stack([s[1] for s in steps]),
-                    actions=np.array([s[2] for s in steps]),
-                    rewards=np.array([s[3] for s in steps]),
-                    dones=np.array([s[4] for s in steps], dtype=bool),
-                    values=np.array([s[5] for s in steps]),
-                    log_probs=np.array([s[6] for s in steps]),
-                )
-                batch.returns, batch.advantages = gae(
-                    batch.rewards,
-                    batch.values,
-                    batch.dones,
-                    core.cfg.gamma,
-                    core.cfg.gae_lambda,
-                )
-                policy_loss, value_loss, entropy = ppo_update(core, batch, rng)
-                losses.append(
-                    -policy_loss
-                    + core.cfg.value_coef * value_loss
-                    - core.cfg.entropy_coef * entropy
-                )
+            batch = TrajectoryBatch(
+                states=np.stack([s[0] for s in steps]),
+                masks=np.stack([s[1] for s in steps]),
+                actions=np.array([s[2] for s in steps]),
+                rewards=np.array([s[3] for s in steps]),
+                dones=np.array([s[4] for s in steps], dtype=bool),
+                values=np.array([s[5] for s in steps]),
+                log_probs=np.array([s[6] for s in steps]),
+            )
+            batch.returns, batch.advantages = gae(
+                batch.rewards,
+                batch.values,
+                batch.dones,
+                core.cfg.gamma,
+                core.cfg.gae_lambda,
+            )
+            policy_loss, value_loss, entropy = ppo_update(core, batch, rng)
+            losses.append(
+                -policy_loss
+                + core.cfg.value_coef * value_loss
+                - core.cfg.entropy_coef * entropy
+            )
 
-        outcome = env.outcome
-        win = outcome is not None and outcome.winner == env.learner_seat
+        win = env.outcome.winner == 0
         wins.append(1.0 if win else 0.0)
         curve.append(
             EpisodeStats(
                 episode=episode,
                 reward=total_reward,
                 win=win,
-                length=info["turns"],
+                length=env.state.turn_count,
                 loss=float(np.mean(losses)) if losses else 0.0,
             )
         )
         maybe_checkpoint(episode)
-        if (
-            stop_on_convergence
-            and converged_at is None
-            and convergence_check(wins, convergence_window, threshold)
-        ):
+        if convergence_check(wins, CONVERGENCE_WINDOW, threshold):
             converged_at = episode
             maybe_checkpoint(episode)
             break
@@ -779,12 +746,12 @@ def evaluate_win_rate(
     env = RoundEnv(opponents, rng)
     wins = 0
     for _ in range(rounds):
-        state_vec, mask, obs = env.reset()
-        done = env.outcome is not None
+        state_vec, mask, _ = env.reset()
+        done = False
         while not done:
             action = agent.greedy_index(state_vec, mask)
             state_vec, mask, _, done, _ = env.step(action)
-        if env.outcome is not None and env.outcome.winner == env.learner_seat:
+        if env.outcome.winner == 0:
             wins += 1
     return wins / rounds
 

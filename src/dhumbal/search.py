@@ -76,11 +76,15 @@ class BeliefError(GameError):
 
 @dataclass
 class SearchConfig:
+    """Search budget and constants. The budget is ``iterations``, so a
+    (config, seed) pair replays; ``time_limit_ms`` adds a wall-clock cut,
+    and a search that sets it depends on machine speed and does not."""
+
     iterations: int = 1000
     determinizations: int = 3
     exploration_c: float = math.sqrt(2)
     max_rollout_depth: int = 200
-    time_limit_ms: Optional[int] = 1000
+    time_limit_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.determinizations < 1 or self.exploration_c <= 0:
@@ -253,7 +257,7 @@ def _playout_outcome(
     values = [hand_value(player.hand) for player in players]
     stock, pile = state.stock, state.discard_stack
     seat, phase, turn = state.current_player, state.phase, state.turn_count
-    turn_limit, count_orbits = state.turn_limit, state.count_orbits
+    turn_limit = state.turn_limit
     draw = rng.random
     end: Optional[EndReason] = None
     for _ in range(max_actions):
@@ -300,9 +304,7 @@ def _playout_outcome(
             seat += 1
             if seat == n:
                 seat = 0
-                turn += 1
-            elif not count_orbits:
-                turn += 1
+            turn += 1
             phase = _JHYAP_CHECK
             if turn >= turn_limit:
                 end = EndReason.TURN_LIMIT
@@ -320,30 +322,12 @@ def _playout_outcome(
     return RoundOutcome(None, (0,) * n, end)
 
 
-def rollout(
-    state: RoundState,
-    rng: random.Random,
-    max_depth: int = 200,
-    seat: Optional[int] = None,
-) -> float:
-    """Random-playout utility for ``seat`` (default: the player to move).
-
-    Returns the seat's coin change at settlement, or 0 when the depth cap
-    cuts the playout off.
-    """
-    if seat is None:
-        seat = state.current_player
-    outcome = _playout_outcome(state, rng, max_depth)
-    return float(outcome.coin_delta[seat]) if outcome else 0.0
-
-
 class ActionStats:
-    __slots__ = ("visits", "total_reward", "legal_count", "avail_count", "child")
+    __slots__ = ("visits", "total_reward", "avail_count", "child")
 
     def __init__(self) -> None:
         self.visits = 0
         self.total_reward = 0.0
-        self.legal_count = 0  # legality count within the latest batch
         self.avail_count = 0  # accumulated legality observations
         self.child: Optional[InfoNode] = None
 
@@ -432,7 +416,6 @@ class _TreeSearch:
                 stats = node.actions.get(action)
                 if stats is None:
                     stats = node.actions[action] = ActionStats()
-                stats.legal_count = count
                 stats.avail_count += count
 
             unvisited = [a for a in candidates if node.actions[a].visits == 0]

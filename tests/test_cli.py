@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dhumbal import analytics, arena, cli, learning
+from dhumbal.search import SearchAgent, SearchConfig
 
 
 def run_cli(*argv) -> int:
@@ -100,7 +101,9 @@ class TestBadInput:
         '{"agents": ["random", "random"], "bogus": 1}',
         '{"agents": ["random", "random"], "turn_limit": 0}',
         '{"agents": ["random", "random"]',
-    ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json"])
+        '{"agents": ["random", "random"], "count_orbits": true}',
+    ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
+            "count-orbits"])
     def test_bad_config(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(config)
@@ -145,6 +148,41 @@ class TestChampionshipCommand:
         )
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["agents"] == ["aggressive", "ismcts", "ppo", "random"]
+
+
+class TestSearchBudget:
+    """Search agents built by the CLI run on iterations alone unless
+    --time-limit-ms asks for a wall-clock cut, so their runs replay."""
+
+    class Played(Exception):
+        pass
+
+    @pytest.mark.parametrize("flags, limit", [((), None), (("--time-limit-ms", 5), 5)],
+                             ids=["default", "time-limit"])
+    @pytest.mark.parametrize("command", ["search", "championship"])
+    def test_time_limit_is_opt_in(self, tmp_path, monkeypatch, command, flags, limit):
+        played = []
+
+        def capture(config, agents):
+            played.extend(agents)
+            raise self.Played
+
+        monkeypatch.setattr(arena, "run_tournament", capture)
+        monkeypatch.setattr(arena, "championship", capture)
+        if command == "search":
+            argv = ["tournament", "search"]
+        else:
+            checkpoint = tmp_path / "ppo.json"
+            learning.save_learning_checkpoint(
+                "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=3), checkpoint, 1)
+            argv = ["championship", "--checkpoint", checkpoint]
+        with pytest.raises(self.Played):
+            run_cli(*argv, *flags, "--rounds", 2, "--out", tmp_path / "out")
+        searchers = [agent for agent in played if isinstance(agent, SearchAgent)]
+        assert searchers
+        for agent in searchers:
+            assert agent.cfg.time_limit_ms == limit
+            assert agent.cfg.iterations == SearchConfig().iterations
 
 
 class TestReportAndExport:

@@ -83,19 +83,7 @@ def oracle_order(hand, pair) -> tuple:
 
 
 class TestCardValues:
-    def test_ace_is_one(self):
-        assert engine.card_value(1) == 1
-
-    def test_king_is_thirteen(self):
-        assert engine.card_value(13) == 13
-
-    def test_identity_band(self):
-        assert engine.card_value(7) == 7
-
-    @pytest.mark.parametrize("rank", [0, 14, -1])
-    def test_out_of_range(self, rank):
-        with pytest.raises(ValueError):
-            engine.card_value(rank)
+    """A card is worth its rank (Ace 1, J/Q/K 11/12/13); ``hand_value`` sums them."""
 
     def test_hand_value_empty(self):
         assert engine.hand_value([]) == 0

@@ -485,6 +485,18 @@ class TestRoundEnv:
         opponents = opponents or [RandomAgent()]
         return RoundEnv(opponents, random.Random(seed))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), num_opponents=st.integers(1, 4))
+    def test_reset_leaves_learner_at_live_jhyap_check(self, seed, num_opponents):
+        """The first turn of a round is seat 0's, so no round settles
+        before the learner's first decision."""
+        env = self.make_env(seed, [RandomAgent() for _ in range(num_opponents)])
+        _, mask, obs = env.reset()
+        assert env.outcome is None
+        assert env.state.current_player == 0 and obs.seat == 0
+        assert obs.phase is Phase.JHYAP_CHECK
+        assert mask[ACTION_DECLINE]
+
     def test_episode_runs_to_completion(self):
         env = self.make_env()
         state_vec, mask, _ = env.reset()
@@ -569,7 +581,7 @@ class TestRoundEnv:
             legal = np.flatnonzero(mask)
             state_vec, mask, step_reward, done, _ = env.step(int(legal[-1]))
             rewards.append(step_reward)
-        delta = env.outcome.coin_delta[env.learner_seat]
+        delta = env.outcome.coin_delta[0]  # the learner sits at seat 0
         base = rewards[-1] - delta
         assert base in (0.0, 1.0, -10.0)
 
