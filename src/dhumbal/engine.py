@@ -13,14 +13,18 @@ the agent, moves through ``step`` and chooses among ``legal_actions``;
 ``ask`` is the one place that turns the phase into an agent's ``decide_*``
 call, and ``forced_decline`` names the one move nobody is asked for.
 
-Legal discards come from one pattern scan over card codes,
-``(rank - 1) * 4 + suit`` (a 0..51 int whose order is Card order):
-``enumerate_legal_discards`` lists the groups it finds, and
-``draw_discard``, the one discard draw, counts them and draws one index as
-``rng.randrange`` would. ``random_discard_group`` wraps it for Card hands.
-Tests hold every draw to one ``randrange`` over the enumeration, with the
-same ``rng`` state after it, and the enumeration to an order derived from
-the rules alone.
+Legal discards work on card codes, ``(rank - 1) * 4 + suit`` (a 0..51 int
+whose order is Card order). ``enumerate_legal_discards`` lists the groups
+of one pattern scan. The one discard draw needs no scan for most hands:
+``discard_count`` counts the groups from a hand's rank and suit weight
+sums, ``draw_discard_index`` draws one index below the count as
+``rng.randrange`` would, and ``discard_at`` builds the group at that index,
+scanning only when it falls past the singles. ``random_discard_group``
+makes those calls for a Card hand, and search playouts make them on sums
+they keep as they go. Tests hold the
+count to the enumeration's length, every draw to one ``randrange`` over the
+enumeration with the same ``rng`` state after it, and the enumeration to an
+order derived from the rules alone.
 """
 
 from __future__ import annotations
@@ -158,12 +162,17 @@ CODE_RANK: tuple[int, ...] = tuple(card.rank for card in CODE_CARD)
 # Per-rank and per-suit weights per code. Summed over a hand, the rank
 # weights count each rank in a 3-bit field, so a field of 2 or more (bit 1 or
 # 2 set) is a set; the suit weights set bit ``rank - 1`` of a 15-bit field per
-# suit, so three consecutive bits in one field are a run.
+# suit, so three consecutive bits in one field are a run. A field reads 0b010
+# for a pair, 0b011 for three of a kind and 0b100 for four, which the masks
+# below pick out; bits 13 and 14 of a suit field stay clear, so no run
+# crosses into the next suit.
 _RANK_WEIGHT: tuple[int, ...] = tuple(1 << 3 * (card.rank - 1) for card in CODE_CARD)
 _SUIT_WEIGHT: tuple[int, ...] = tuple(
     1 << (15 * card.suit + card.rank - 1) for card in CODE_CARD
 )
-_SET_BITS = sum(0b110 << 3 * field for field in range(13))
+_ONE_BITS = sum(0b001 << 3 * field for field in range(13))
+_PAIR_BITS, _FOUR_BITS = _ONE_BITS << 1, _ONE_BITS << 2
+_SET_BITS = _PAIR_BITS | _FOUR_BITS
 
 # The groups a pattern holds, as positions among its cards: for a rank held
 # k times (k <= 4) every subset of size >= 2 in ``combinations`` order, size
@@ -230,8 +239,8 @@ def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
 
     Singles come first (card order), then same-rank sets (all subsets of
     size >=2 per rank), then same-suit runs (every consecutive window of
-    length >=3). Raises on an empty hand. ``draw_discard`` counts the same
-    groups in the same order.
+    length >=3). Raises on an empty hand. ``discard_count`` counts the same
+    groups, and ``discard_at`` picks them by index in the same order.
     """
     if not hand:
         raise GameError("cannot enumerate discards for an empty hand")
@@ -243,27 +252,37 @@ def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
     return groups
 
 
-def draw_discard(
-    hand: Iterable[int], rng: random.Random
-) -> tuple[DiscardGroup, tuple[int, ...]]:
-    """Uniform draw from the legal discards of a hand of card codes: the
-    chosen group and its codes, both in ascending order.
-
-    The one draw rule: the groups of ``enumerate_legal_discards`` are
-    counted, one index below the count is drawn as ``rng.randrange(count)``
-    draws it, and only the chosen group is built. A one-card hand draws
-    nothing.
-    """
-    cards = sorted(hand)
-    n = len(cards)
-    if n < 2:
-        if not n:
-            raise GameError("cannot discard from an empty hand")
-        return _SINGLE_GROUPS[cards[0]], (cards[0],)
-    patterns = _patterns(cards)
+def discard_count(n: int, ranks: int, suits: int) -> int:
+    """How many legal discards a hand of ``n`` codes holds, from the sums of
+    its ``_RANK_WEIGHT`` and ``_SUIT_WEIGHT``: the ``n`` singles; 1, 4 or
+    11 sets for a rank held 2, 3 or 4 times; and one run per window of 3 or
+    more consecutive ranks of a suit, counted length by length as the set
+    bits of ``s & s>>1 & s>>2``, then that ``& s>>3``, and so on. No hand
+    is scanned to be counted."""
     total = n
-    for _, _, picks in patterns:
-        total += len(picks)
+    if ranks & _SET_BITS:
+        total += (
+            (ranks & _PAIR_BITS).bit_count()
+            + 3 * (ranks & ranks >> 1 & _ONE_BITS).bit_count()
+            + 11 * (ranks & _FOUR_BITS).bit_count()
+        )
+    windows = suits & suits >> 1 & suits >> 2
+    shift = 3
+    while windows:
+        total += windows.bit_count()
+        windows &= suits >> shift
+        shift += 1
+    return total
+
+
+def draw_discard_index(n: int, ranks: int, suits: int, rng: random.Random) -> int:
+    """The one discard draw: an index into the enumeration of a hand of
+    ``n`` codes with the weight sums ``ranks`` and ``suits``, drawn as
+    ``rng.randrange(discard_count(n, ranks, suits))`` draws it. A hand with
+    one legal discard draws nothing."""
+    total = discard_count(n, ranks, suits)
+    if total < 2:
+        return 0
     # rng.randrange(total), inlined: the same getrandbits calls, without
     # the two Python-level calls that cost more than the draw itself
     getrandbits = rng.getrandbits
@@ -271,11 +290,19 @@ def draw_discard(
     index = getrandbits(bits)
     while index >= total:
         index = getrandbits(bits)
+    return index
+
+
+def discard_at(cards: list[int], index: int) -> tuple[DiscardGroup, tuple[int, ...]]:
+    """The group at ``index`` in the enumeration of a sorted hand of codes,
+    and its codes in ascending order. Only an index past the singles runs
+    the ``_patterns`` scan."""
+    n = len(cards)
     if index < n:
         code = cards[index]
         return _SINGLE_GROUPS[code], (code,)
     index -= n
-    for kind, members, picks in patterns:
+    for kind, members, picks in _patterns(cards):
         if index < len(picks):
             codes = tuple(members[p] for p in picks[index])
             return _build_group(kind, codes), codes
@@ -285,8 +312,17 @@ def draw_discard(
 
 def random_discard_group(hand: Sequence[Card], rng: random.Random) -> DiscardGroup:
     """Uniform draw from enumerate_legal_discards(hand) without building it:
-    ``draw_discard`` on the hand's card codes, with the same draws."""
-    return draw_discard(map(CARD_CODE.__getitem__, hand), rng)[0]
+    ``draw_discard_index`` counts the groups from the hand's weight sums and
+    draws one index, and ``discard_at`` builds only the chosen group. Search
+    playouts keep the sums as they go and make the same two calls."""
+    cards = sorted(map(CARD_CODE.__getitem__, hand))
+    if not cards:
+        raise GameError("cannot discard from an empty hand")
+    ranks = suits = 0
+    for code in cards:
+        ranks += _RANK_WEIGHT[code]
+        suits += _SUIT_WEIGHT[code]
+    return discard_at(cards, draw_discard_index(len(cards), ranks, suits, rng))[0]
 
 
 def shuffle_cards(cards: list, rng: random.Random) -> None:

@@ -642,14 +642,6 @@ def train(
     else:
         core = PPOAgentCore(PPOConfig(), seed=rng.randrange(2**63))
 
-    def maybe_checkpoint(episode: int) -> None:
-        if out_dir is None:
-            return
-        if checkpoint_every and episode % checkpoint_every == 0 or episode == episodes:
-            path = out_dir / f"{kind}_ep{episode:06d}.json"
-            save_learning_checkpoint(kind, core, path, episode)
-            checkpoint_paths.append(path)
-
     wins: list[float] = []
     for episode in range(1, episodes + 1):
         state_vec, mask, _ = env.reset()
@@ -712,10 +704,18 @@ def train(
                 loss=float(np.mean(losses)) if losses else 0.0,
             )
         )
-        maybe_checkpoint(episode)
-        if convergence_check(wins, CONVERGENCE_WINDOW, threshold):
+        converged = convergence_check(wins, CONVERGENCE_WINDOW, threshold)
+        if out_dir is not None and (
+            converged
+            or episode == episodes
+            or checkpoint_every and episode % checkpoint_every == 0
+        ):
+            # the last episode, converged or not, is saved once
+            path = out_dir / f"{kind}_ep{episode:06d}.json"
+            save_learning_checkpoint(kind, core, path, episode)
+            checkpoint_paths.append(path)
+        if converged:
             converged_at = episode
-            maybe_checkpoint(episode)
             break
 
     if out_dir is not None:

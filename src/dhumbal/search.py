@@ -10,17 +10,22 @@ Two variants share one information-set tree machinery:
 
 Selection uses UCB1 with the legality factor:
 ``score = mean + C * (l / d) * sqrt(ln(N) / n)``.
-Inside the tree every sampled world takes its candidates from
-``engine.legal_actions`` and moves through ``engine.step``, so the tree
-plays by the engine's own rules. Rollouts play uniformly random legal
-actions to a terminal settlement in ``_playout_outcome``, a fast path
-tested against ``step``, and score positions by each player's coin change.
-The playout keeps hands as card codes and draws discards through
-``engine.draw_discard``; ``determinize`` keeps what does not depend on its
-draws in the belief's ``deal_plan``, so a decision works it out once. A
-property test holds the playout to ``step`` with the same draws and the
-same final state, and golden digests pin determinized worlds and their
-playouts for fixed beliefs and seeds.
+Every sampled world moves through ``engine.step``, so the tree plays by
+the engine's own rules. At the root each world shows the mover's own hand,
+stock size and pile, so its legal actions are the observation's and the
+tree takes them once per decision; below the root each world takes its
+candidates from ``engine.legal_actions``. Rollouts play uniformly random
+legal actions to a terminal settlement in ``_playout_outcome``, a fast
+path tested against ``step``, and score positions by each player's coin
+change. The playout keeps each hand as sorted card codes with running
+weight sums and draws discards through the engine's count and pick
+(``draw_discard_index``, ``discard_at``). ``determinize`` keeps what does
+not depend on its draws in the belief's ``deal_plan``, so a decision works
+it out once, and samples opponent hands with ``rng.sample``'s draws
+without its overhead. Property tests hold the playout to ``step`` with the
+same draws and the same final state, and the sampler to ``rng.sample``;
+golden digests pin determinized worlds and their playouts for fixed
+beliefs and seeds.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -55,10 +61,13 @@ from .engine import (
     Reshuffled,
     RoundOutcome,
     RoundState,
+    _RANK_WEIGHT,
+    _SINGLE_GROUPS,
+    _SUIT_WEIGHT,
     _reshuffle_into_stock,
     _settle_showdown,
-    draw_discard,
-    hand_value,
+    discard_at,
+    draw_discard_index,
     legal_actions,
     resolve_jhyap,
     round_termination,
@@ -177,15 +186,37 @@ class BeliefTracker:
         )
 
 
+def _sample_positions(size: int, k: int, rng: random.Random) -> list[int]:
+    """``rng.sample(range(size), k)``, with the same picks and draws.
+
+    For ``size > 21`` and ``k <= 5`` CPython's ``sample`` keeps the picks in
+    a set and redraws ``randbelow(size)`` on a repeat; that method runs
+    here inlined on ``rng.getrandbits``, without ``sample``'s argument
+    checks and per-draw calls. Other sizes call ``rng.sample``.
+    """
+    if size <= 21 or k > 5:
+        return rng.sample(range(size), k)
+    getrandbits = rng.getrandbits
+    bits = size.bit_length()
+    picked: list[int] = []
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= size or j in picked:
+            j = getrandbits(bits)
+        picked.append(j)
+    return picked
+
+
 def determinize(
     belief: BeliefState, observation: Observation, rng: random.Random
 ) -> RoundState:
     """Sample a full hidden state consistent with the belief.
 
     Opponent hands get their known cards plus a uniform ``rng.sample`` of
-    the unseen pool; whatever remains becomes the stock, shuffled as
-    ``rng.shuffle`` would. The belief's ``deal_plan`` holds the work that
-    does not depend on the draws, so a decision does it once.
+    the unseen pool, drawn by ``_sample_positions``; whatever remains
+    becomes the stock, shuffled as ``rng.shuffle`` would. The belief's
+    ``deal_plan`` holds the work that does not depend on the draws, so a
+    decision does it once.
     """
     pool, seats, left = belief.deal_plan
     if left != observation.stock_size:
@@ -197,7 +228,7 @@ def determinize(
     avg = round(observation.avg_opponent_coins)
     for seat, known, need in seats:
         # sampling positions draws exactly as sampling the cards would
-        picked = rng.sample(range(len(stock)), need)
+        picked = _sample_positions(len(stock), need, rng)
         players[seat] = PlayerState(known + [stock[i] for i in picked], avg)
         for i in sorted(picked, reverse=True):
             del stock[i]
@@ -205,18 +236,19 @@ def determinize(
         list(observation.own_hand), observation.own_coins
     )
     shuffle_cards(stock, rng)
-    state = RoundState(
-        players,  # type: ignore[arg-type]
-        stock,
-        list(observation.discard_pile_groups),
-        rng,
-        turn_limit=observation.turn_limit,
-        round_index=observation.round_index,
-        validate=False,
-    )
+    # the fields RoundState(..., validate=False) would set, assigned directly
+    state = RoundState.__new__(RoundState)
+    state.players = players  # type: ignore[assignment]
+    state.stock = stock
+    state.discard_stack = list(observation.discard_pile_groups)
     state.current_player = observation.seat
-    state.phase = observation.phase
     state.turn_count = observation.turn_count
+    state.phase = observation.phase
+    state.rng = rng
+    state.turn_limit = observation.turn_limit
+    state.round_index = observation.round_index
+    state.validate = False
+    state.events = None
     return state
 
 
@@ -242,39 +274,74 @@ def _playout_outcome(
     ``rng.random() < 0.5``. Kept as one tight loop because search spends
     most of its time here; a property test holds it to that reference.
 
-    Hands are played as card-code lists in list order, each with a running
-    value, and discard through ``engine.draw_discard``; the stock and the
-    pile stay the state's own lists, so pile groups no action touched are
-    kept as they are. The hands are written back before the function
-    returns, so a settlement reads the final state.
+    Each hand is played as an ascending card-code list with its running
+    value and ``_RANK_WEIGHT``/``_SUIT_WEIGHT`` sums, so a discard is
+    ``engine.draw_discard_index`` on the sums, a ``pop`` for a single and
+    ``engine.discard_at`` only for a set or run; a pick is an ``insort``.
+    The stock and the pile stay the state's own lists, so pile groups no
+    action touched are kept as they are. Every code carries the stamp of
+    its arrival in the hand, and the hands are written back in stamp
+    order, the order ``step``'s removes and appends leave, before the
+    function returns, so a settlement reads the final state.
     """
     outcome = round_termination(state)
     if outcome is not None:
         return outcome
     players = state.players
     n = len(players)
-    hands = [list(map(CARD_CODE.__getitem__, player.hand)) for player in players]
-    values = [hand_value(player.hand) for player in players]
+    stamps = [0] * 52
+    clock = 0
+    hands: list[list[int]] = []
+    values: list[int] = []
+    rank_sums: list[int] = []
+    suit_sums: list[int] = []
+    for player in players:
+        hand = []
+        value = ranks = suits = 0
+        for card in player.hand:
+            code = CARD_CODE[card]
+            stamps[code] = clock
+            clock += 1
+            hand.append(code)
+            value += card[0]  # its rank
+            ranks += _RANK_WEIGHT[code]
+            suits += _SUIT_WEIGHT[code]
+        hand.sort()
+        hands.append(hand)
+        values.append(value)
+        rank_sums.append(ranks)
+        suit_sums.append(suits)
     stock, pile = state.stock, state.discard_stack
     seat, phase, turn = state.current_player, state.phase, state.turn_count
     turn_limit = state.turn_limit
     draw = rng.random
+    # the mover's hand, value and sums, stored back when the turn passes
+    hand, value = hands[seat], values[seat]
+    ranks, suits = rank_sums[seat], suit_sums[seat]
     end: Optional[EndReason] = None
     for _ in range(max_actions):
         if phase is _JHYAP_CHECK:
-            if values[seat] <= JHYAP_THRESHOLD and draw() < 0.5:
+            if value <= JHYAP_THRESHOLD and draw() < 0.5:
                 end = EndReason.JHYAP_SHOWDOWN
                 break
             phase = _DISCARD
         elif phase is _DISCARD:
-            hand = hands[seat]
-            group, codes = draw_discard(hand, rng)
-            pile.append(group)
-            value = values[seat]
-            for code in codes:
-                hand.remove(code)
+            size = len(hand)
+            index = draw_discard_index(size, ranks, suits, rng)
+            if index < size:
+                code = hand.pop(index)
+                pile.append(_SINGLE_GROUPS[code])
                 value -= CODE_RANK[code]
-            values[seat] = value
+                ranks -= _RANK_WEIGHT[code]
+                suits -= _SUIT_WEIGHT[code]
+            else:
+                group, codes = discard_at(hand, index)
+                pile.append(group)
+                for code in codes:
+                    hand.remove(code)
+                    value -= CODE_RANK[code]
+                    ranks -= _RANK_WEIGHT[code]
+                    suits -= _SUIT_WEIGHT[code]
             phase = _PICK
             if not hand:
                 end = EndReason.EMPTY_HAND
@@ -299,18 +366,27 @@ def _playout_outcome(
                 if not stock:
                     _reshuffle_into_stock(state)
                     stock, pile = state.stock, state.discard_stack
-            hands[seat].append(CARD_CODE[card])
-            values[seat] += card[0]  # its rank
+            code = CARD_CODE[card]
+            insort(hand, code)
+            stamps[code] = clock
+            clock += 1
+            values[seat] = value + card[0]  # its rank
+            rank_sums[seat] = ranks + _RANK_WEIGHT[code]
+            suit_sums[seat] = suits + _SUIT_WEIGHT[code]
             seat += 1
             if seat == n:
                 seat = 0
+            hand, value = hands[seat], values[seat]
+            ranks, suits = rank_sums[seat], suit_sums[seat]
             turn += 1
             phase = _JHYAP_CHECK
             if turn >= turn_limit:
                 end = EndReason.TURN_LIMIT
                 break
 
+    stamp = stamps.__getitem__
     for player, hand in zip(players, hands):
+        hand.sort(key=stamp)
         player.hand[:] = map(CODE_CARD.__getitem__, hand)
     state.current_player, state.phase, state.turn_count = seat, phase, turn
     if end is None:
@@ -380,7 +456,7 @@ class _TreeSearch:
             if deadline is not None and time.perf_counter() > deadline:
                 break
             worlds = [determinize(belief, observation, rng) for _ in range(d)]
-            self._run_iteration(root, worlds, rng)
+            self._run_iteration(root, root_actions, worlds, rng)
         best = max(
             root_actions,
             key=lambda a: (
@@ -391,7 +467,11 @@ class _TreeSearch:
         return best
 
     def _run_iteration(
-        self, root: InfoNode, worlds: list[RoundState], rng: random.Random
+        self,
+        root: InfoNode,
+        root_actions: list[Action],
+        worlds: list[RoundState],
+        rng: random.Random,
     ) -> None:
         cfg = self.cfg
         d = cfg.determinizations
@@ -401,16 +481,23 @@ class _TreeSearch:
         live = worlds
         while True:
             node.mover = live[0].current_player
-            legal_per_world = [legal_actions(world) for world in live]
-            candidates: list[Action] = []
-            legal_counts: dict[Action, int] = {}
-            for legal in legal_per_world:
-                for action in legal:
-                    if action in legal_counts:
-                        legal_counts[action] += 1
-                    else:
-                        legal_counts[action] = 1
-                        candidates.append(action)
+            if node is root:
+                # every world shows the mover's own hand, stock size and
+                # pile, so each one's legal set is the observation's
+                legal_per_world = [root_actions] * len(live)
+                candidates = root_actions
+                legal_counts = dict.fromkeys(root_actions, len(live))
+            else:
+                legal_per_world = [legal_actions(world) for world in live]
+                candidates = []
+                legal_counts = {}
+                for legal in legal_per_world:
+                    for action in legal:
+                        if action in legal_counts:
+                            legal_counts[action] += 1
+                        else:
+                            legal_counts[action] = 1
+                            candidates.append(action)
             node.samples += len(live)
             for action, count in legal_counts.items():
                 stats = node.actions.get(action)
@@ -458,10 +545,8 @@ class _TreeSearch:
 
         if not results:
             return
-        num_players = len(results[0])
-        mean_delta = [
-            sum(r[seat] for r in results) / len(results) for seat in range(num_players)
-        ]
+        count = len(results)
+        mean_delta = [sum(deltas) / count for deltas in zip(*results)]
         for visited, action in path:
             stats = visited.actions[action]
             stats.visits += 1
@@ -477,22 +562,28 @@ class _TreeSearch:
         legal_counts: dict[Action, int],
         d: int,
     ) -> Action:
+        """The first candidate of highest ``ucb_score``, with ``log(N)``
+        taken once for the node and each score in ``ucb_score``'s float
+        order, so the scores and the choice are ``ucb_score``'s own. The
+        tree selects only once every candidate has a visit."""
+        log_visits = math.log(max(node.visits, 1))
+        exploration_c = self.cfg.exploration_c
+        batch_legality = self.batch_legality
+        samples = node.samples
+        actions = node.actions
+        sqrt = math.sqrt
         best_action = candidates[0]
         best_score = -math.inf
         for action in candidates:
-            stats = node.actions[action]
-            if self.batch_legality:
+            stats = actions[action]
+            visits = stats.visits
+            if batch_legality:
                 legal, total = legal_counts[action], d
             else:
-                legal, total = stats.avail_count, node.samples
-            score = ucb_score(
-                stats.mean_reward,
-                max(node.visits, 1),
-                stats.visits,
-                legal,
-                total,
-                self.cfg.exploration_c,
-            )
+                legal, total = stats.avail_count, samples
+            score = stats.total_reward / visits + exploration_c * (
+                legal / total
+            ) * sqrt(log_visits / visits)
             if score > best_score:
                 best_score = score
                 best_action = action

@@ -21,7 +21,6 @@ from dhumbal import analytics, arena, cli, engine, learning
 from dhumbal import neuralnet as nn
 from dhumbal.arena import RandomAgent, TournamentConfig
 from dhumbal.engine import PickSource
-from helpers import cards, single, c
 
 pytestmark = pytest.mark.acceptance
 

@@ -7,7 +7,6 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from dhumbal import analytics
 from dhumbal.analytics import (
     bonferroni,
     cohens_d,

@@ -9,7 +9,6 @@ import pytest
 from dhumbal import analytics, arena, engine
 from dhumbal.arena import (
     RandomAgent,
-    RoundRecord,
     TournamentConfig,
     agent_names,
     build_agent,

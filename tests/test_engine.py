@@ -185,6 +185,48 @@ class TestEnumerateLegalDiscards:
         assert [(g.kind, g.cards) for g in groups] == expected
 
 
+class TestDiscardCount:
+    """The count from running weight sums and the pick by index that every
+    discard draw, in ``random_discard_group`` and in search playouts, rests on."""
+
+    @staticmethod
+    def sums(hand):
+        codes = [engine.CARD_CODE[card] for card in hand]
+        return (
+            sum(engine._RANK_WEIGHT[code] for code in codes),
+            sum(engine._SUIT_WEIGHT[code] for code in codes),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(patterned_hands())
+    def test_count_from_sums_matches_enumeration(self, hand):
+        ranks, suits = self.sums(hand)
+        count = engine.discard_count(len(hand), ranks, suits)
+        assert count == len(engine.enumerate_legal_discards(hand))
+
+    @pytest.mark.parametrize(
+        "hand",
+        [
+            [Card(rank, Suit.SPADES) for rank in range(1, 14)],  # 66 runs
+            [Card(7, suit) for suit in range(4)] + [Card(8, suit) for suit in range(4)],
+            list(engine.FULL_DECK),
+        ],
+    )
+    def test_count_of_long_hands(self, hand):
+        ranks, suits = self.sums(hand)
+        count = engine.discard_count(len(hand), ranks, suits)
+        assert count == len(engine.enumerate_legal_discards(hand))
+
+    @settings(max_examples=200, deadline=None)
+    @given(patterned_hands())
+    def test_every_index_picks_the_enumerated_group(self, hand):
+        codes = sorted(engine.CARD_CODE[card] for card in hand)
+        for index, group in enumerate(engine.enumerate_legal_discards(hand)):
+            picked, picked_codes = engine.discard_at(codes, index)
+            assert picked == group
+            assert picked_codes == tuple(engine.CARD_CODE[card] for card in group.cards)
+
+
 class TestRandomDiscardGroup:
     @pytest.mark.parametrize(
         "hand",

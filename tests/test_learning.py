@@ -617,6 +617,24 @@ class TestTraining:
             (e.reward, e.win, e.length) for e in b.curve
         ]
 
+    @pytest.mark.parametrize("checkpoint_every", [1, 2])
+    def test_converged_episode_saved_once(self, tmp_path, monkeypatch, checkpoint_every):
+        monkeypatch.setattr(learning, "CONVERGENCE_WINDOW", 2)
+        result = train(
+            "dqn",
+            opponents=[RandomAgent()],
+            episodes=40,
+            seed=3,
+            checkpoint_every=checkpoint_every,
+            out_dir=tmp_path,
+        )
+        assert result.converged_at is not None
+        assert result.converged_at < 40
+        names = [path.name for path in result.checkpoint_paths]
+        assert len(names) == len(set(names))
+        assert names[-1] == f"dqn_ep{result.converged_at:06d}.json"
+        assert all(path.exists() for path in result.checkpoint_paths)
+
     def test_zero_episodes(self):
         result = train("dqn", opponents=[RandomAgent()], episodes=0, seed=1)
         assert result.curve == []

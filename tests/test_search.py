@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from dhumbal import arena, engine, search
 from dhumbal.engine import (
-    Card,
-    DiscardGroup,
-    GroupKind,
     JhyapAction,
-    Observation,
     Phase,
     PickSource,
     PlayerState,
@@ -173,6 +169,54 @@ class TestDeterminize:
         belief = self.belief_with_pool(cards("KH", "KD"), {1: 5})
         with pytest.raises(BeliefError):
             determinize(belief, obs, random.Random(0))
+
+
+class TestSamplePositions:
+    def test_same_picks_and_draws_as_rng_sample(self):
+        # sizes on both sides of 21, where CPython's sample switches from
+        # its pool method to its set method
+        for size in range(1, 53):
+            for k in range(min(5, size) + 1):
+                for seed in range(4):
+                    a = random.Random(seed * 10_000 + size * 10 + k)
+                    b = random.Random(seed * 10_000 + size * 10 + k)
+                    assert search._sample_positions(size, k, a) == b.sample(range(size), k)
+                    assert a.getstate() == b.getstate()
+
+
+def play_with_trackers(seed, num_players):
+    """A uniform-random round through ``engine.step`` with a belief tracker
+    per seat: yields each live position's state and its mover's tracker."""
+    rng = random.Random(seed)
+    state = engine.deal(num_players, rng, track_events=True)
+    trackers = [BeliefTracker(seat, num_players) for seat in range(num_players)]
+    while True:
+        yield state, trackers[state.current_player]
+        legal = engine.legal_actions(state)
+        outcome = engine.step(state, legal[rng.randrange(len(legal))])
+        for event in state.events:
+            for tracker in trackers:
+                tracker.update(event)
+        state.events.clear()
+        if outcome is not None:
+            return
+
+
+class TestRootLegalSet:
+    @pytest.mark.parametrize("num_players", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_worlds_have_the_observations_legal_actions(self, seed, num_players):
+        """The tree reuses the root's legal actions for every world it
+        samples there; that holds because each world shows the mover's own
+        hand, stock size and pile."""
+        rng = random.Random(seed)
+        for state, tracker in play_with_trackers(seed, num_players):
+            obs = engine.observation_for(state, state.current_player)
+            belief = tracker.snapshot(obs)
+            expected = engine.legal_actions(obs)
+            for _ in range(2):
+                world = determinize(belief, obs, rng)
+                assert engine.legal_actions(world) == expected
 
 
 def endgame_state() -> RoundState:
@@ -477,6 +521,40 @@ class TestSearchDecisions:
         cfg = SearchConfig(iterations=10_000, time_limit_ms=50)
         action = ismcts_decide(obs, belief, cfg, random.Random(2))
         assert action in (JhyapAction.DECLARE, JhyapAction.DECLINE)
+
+
+class TestSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), batch_legality=st.booleans())
+    def test_first_argmax_of_ucb_score(self, data, batch_legality):
+        exploration_c = data.draw(st.sampled_from([0.5, 1.0, math.sqrt(2), 3.0]))
+        d = data.draw(st.integers(1, 4))
+        node = search.InfoNode(0)
+        candidates = list(range(data.draw(st.integers(1, 8))))
+        legal_counts = {}
+        # few distinct values, so that ties are common
+        for action in candidates:
+            stats = node.actions[action] = search.ActionStats()
+            stats.visits = data.draw(st.integers(1, 3))
+            stats.total_reward = data.draw(st.sampled_from([-7.0, 0.0, 2.5, 11.0]))
+            stats.avail_count = data.draw(st.integers(1, 6))
+            legal_counts[action] = data.draw(st.integers(1, d))
+        node.visits = data.draw(st.integers(0, 12))
+        node.samples = data.draw(st.integers(6, 20))
+        scores = [
+            ucb_score(
+                node.actions[action].mean_reward,
+                max(node.visits, 1),
+                node.actions[action].visits,
+                legal_counts[action] if batch_legality else node.actions[action].avail_count,
+                d if batch_legality else node.samples,
+                exploration_c,
+            )
+            for action in candidates
+        ]
+        expected = candidates[scores.index(max(scores))]
+        tree = search._TreeSearch(SearchConfig(exploration_c=exploration_c), batch_legality)
+        assert tree._select(node, candidates, legal_counts, d) == expected
 
 
 def walk_nodes(root):
