@@ -10,6 +10,12 @@ execution reproduces records bit-for-bit (timing aside) from (config,
 seed); the optional worker pool derives per-round seeds as seed + round
 index instead, which keeps rounds reproducible but fixes observed coin
 balances at their starting value.
+
+An agent has a ``name``, ``begin_round(seat, num_players)`` and the three
+``decide_*`` calls that ``engine.ask`` makes. ``observe(event)`` is
+optional: an agent that has it is sent every public event of the round
+(``engine.PublicEvent``), and a round in which no agent has it builds no
+events at all.
 """
 
 from __future__ import annotations
@@ -51,9 +57,6 @@ class RandomAgent:
     name = "random"
 
     def begin_round(self, seat: int, num_players: int) -> None:
-        pass
-
-    def observe(self, event) -> None:
         pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
@@ -135,6 +138,9 @@ class TournamentConfig:
             raise ValueError("tournaments need 2..5 agents")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.seed < 0:
+            # random.Random(-s) seeds like random.Random(s): one run, two names
+            raise ValueError("seed must be >= 0")
         if self.seating not in ("random", "fixed"):
             raise ValueError("seating must be 'random' or 'fixed'")
         if self.turn_limit < 1:
@@ -211,13 +217,14 @@ def run_round(
         if balances is None
         else [balances[agent_of_seat[seat]] for seat in range(num_players)]
     )
+    observers = [agent.observe for agent in agents if hasattr(agent, "observe")]
     state = deal(
         num_players,
         rng,
         coins=coins,
         round_index=round_index,
         turn_limit=turn_limit,
-        track_events=True,
+        track_events=bool(observers),
     )
     n_agents = len(agents)
     rewards = [0.0] * n_agents
@@ -251,10 +258,11 @@ def run_round(
                 jhyap_agent = agent_index
                 jhyap_value = obs.hand_value
         outcome = step(state, action)
-        for event in state.events:
-            for agent in agents:
-                agent.observe(event)
-        state.events.clear()
+        if observers:
+            for event in state.events:
+                for observe in observers:
+                    observe(event)
+            state.events.clear()
 
     delta_by_agent = [0] * n_agents
     final_values = [0] * n_agents
@@ -454,7 +462,9 @@ def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[st
     """Inverse of records_to_csv."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header row")
         n = (len(header) - len(_COMMON_COLUMNS)) // len(_AGENT_FIELDS)
         records = []
         names: list[str] = []

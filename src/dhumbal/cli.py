@@ -324,7 +324,18 @@ def cmd_tournament(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random(-s) seeds like random.Random(s): one run, two names
+    if seed < 0:
+        raise DataError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_train(args) -> int:
+    if args.episodes < 1:
+        raise DataError(f"--episodes must be >= 1, got {args.episodes}")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        raise DataError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
+    _check_seed(args.seed)
     opponents = _build_agents(args.opponents) if args.opponents else None
     out_dir = args.out_dir or (default_out_dir() / f"train_{args.kind}")
     result = learning.train(
@@ -469,6 +480,7 @@ class HumanAgent:
 def cmd_play(args) -> int:
     import random as _random
 
+    _check_seed(args.seed)
     specs = list(args.agents)
     if args.checkpoint is not None:
         specs = [

@@ -110,7 +110,7 @@ class DiscardGroup(NamedTuple):
         return self.cards[-1]
 
     def value(self) -> int:
-        return sum(card.rank for card in self.cards)
+        return hand_value(self.cards)
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.cards)
@@ -428,14 +428,15 @@ class RoundOutcome:
     jhyap_succeeded: Optional[bool] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """The slice of a round state visible to one player.
 
     Never contains opponent card identities: the hand is the player's own
     and the discard pile is public (every card in it was played face up).
     During the Pick phase ``discard_top`` is the card the player could
     actually take (the previous actor's group top, never their own).
+    Immutable, like ``Card`` and the events; ``_replace`` gives a copy with
+    fields changed.
     """
 
     seat: int
@@ -524,9 +525,14 @@ class RoundState:
         return copy
 
     def all_cards(self) -> list[Card]:
-        cards = [c for p in self.players for c in p.hand]
-        cards.extend(self.stock)
-        cards.extend(c for g in self.discard_stack for c in g.cards)
+        """Every card of the round: the hands in seat order, the stock, then
+        the pile groups from the bottom."""
+        cards: list[Card] = []
+        for player in self.players:
+            cards += player.hand
+        cards += self.stock
+        for group in self.discard_stack:
+            cards += group.cards
         return cards
 
     def _check_conservation(self) -> None:
@@ -839,25 +845,30 @@ def ask(agent, observation: Observation, rng: random.Random) -> Action:
 
 def observation_for(state: RoundState, seat: int) -> Observation:
     """Everything ``seat`` can see, and nothing they cannot."""
-    if not 0 <= seat < state.num_players:
+    players = state.players
+    num_players = len(players)
+    if not 0 <= seat < num_players:
         raise ValueError(f"invalid seat {seat}")
     if state.phase is _PICK and seat == state.current_player:
         top = pickable_top(state)
     else:
         top = state.discard_stack[-1].top if state.discard_stack else None
-    others = [(seat + k) % state.num_players for k in range(1, state.num_players)]
+    player = players[seat]
+    others = players[seat + 1 :] + players[:seat]  # clockwise after seat
+    # positional, in field order: matching keywords to fields would cost
+    # about as much again as building the tuple
     return Observation(
-        seat=seat,
-        num_players=state.num_players,
-        own_hand=tuple(sorted(state.players[seat].hand)),
-        discard_top=top,
-        discard_pile_groups=tuple(state.discard_stack),
-        opponent_hand_sizes=tuple(len(state.players[s].hand) for s in others),
-        own_coins=state.players[seat].coins,
-        avg_opponent_coins=sum(state.players[s].coins for s in others) / len(others),
-        stock_size=len(state.stock),
-        turn_count=state.turn_count,
-        turn_limit=state.turn_limit,
-        phase=state.phase,
-        round_index=state.round_index,
+        seat,
+        num_players,
+        tuple(sorted(player.hand)),
+        top,
+        tuple(state.discard_stack),
+        tuple([len(p.hand) for p in others]),
+        player.coins,
+        sum([p.coins for p in others]) / len(others),
+        len(state.stock),
+        state.turn_count,
+        state.turn_limit,
+        state.phase,
+        state.round_index,
     )

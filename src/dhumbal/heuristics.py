@@ -16,13 +16,14 @@ their declaration thresholds, pick rules, and the p_h / r weights:
 * balanced: probabilistic declarations (always at <=5, 70% at 6-8, 40% at
   9-10) and prefers longer discards before higher-scoring ones;
 * opportunistic: re-derives (r, p_h, threshold) from the coin standings
-  on every decision.
+  on every decision, choosing between two adapted profiles built once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .engine import (
@@ -54,6 +55,16 @@ class HeuristicProfile:
     adaptive: bool = False  # re-derive r/p_h/threshold from coin standings
     length_first_discards: bool = False
     selective_low_discards: bool = False  # keep the lowest card near threshold
+
+    @cached_property
+    def adapted(self) -> dict[tuple[float, float, int], "HeuristicProfile"]:
+        """This profile under each answer of ``opportunistic_adapt``, with its
+        risk factor and high-value preference, built once per profile
+        rather than on every decision."""
+        return {
+            answer: replace(self, risk_factor=answer[0], high_value_preference=answer[1])
+            for answer in (_AHEAD, _BEHIND)
+        }
 
 
 PROFILES: dict[str, HeuristicProfile] = {
@@ -96,6 +107,14 @@ def make_profile(name: str, **overrides) -> HeuristicProfile:
     return replace(base, **overrides) if overrides else base
 
 
+# opportunistic_adapt's two answers: (risk factor, high-value preference,
+# declaration threshold) ahead of the table average and behind it
+_AHEAD = (1.2, 0.8, 8)
+_BEHIND = (0.8, 0.3, 9)
+
+_SEQUENCE = GroupKind.SEQUENCE  # a module global: Enum attribute lookups cost more
+
+
 def opportunistic_adapt(
     own_coins: float, avg_opponent_coins: float
 ) -> tuple[float, float, int]:
@@ -104,23 +123,26 @@ def opportunistic_adapt(
     Ahead of the table average (ties included) plays hot; behind plays
     cold but declares one point looser.
     """
-    if own_coins >= avg_opponent_coins:
-        return 1.2, 0.8, 8
-    return 0.8, 0.3, 9
+    return _AHEAD if own_coins >= avg_opponent_coins else _BEHIND
 
 
 def discard_score(
     hand, group: DiscardGroup, profile: HeuristicProfile
 ) -> float:
     """Score one candidate discard for a hand; higher is better."""
-    total = hand_value(hand)
+    return _score(hand_value(hand), group, profile)
+
+
+def _score(total: int, group: DiscardGroup, profile: HeuristicProfile) -> float:
+    """``discard_score`` for a hand of value ``total``, which ``decide_discard``
+    sums once for all of its candidates."""
     value = group.value()
     remaining = total - value
     improvement = (max(0.0, (total - remaining) / total) * 10.0) if total else 0.0
     score = (
         value * profile.high_value_preference
         + len(group.cards) * profile.multi_card_bonus
-        + (profile.sequence_bonus if group.kind is GroupKind.SEQUENCE else 0.0)
+        + (profile.sequence_bonus if group.kind is _SEQUENCE else 0.0)
         + (50.0 if remaining <= JHYAP_THRESHOLD else 0.0)
         + improvement
     )
@@ -170,16 +192,16 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
     hand = observation.own_hand
     groups = enumerate_legal_discards(hand)
     if profile.adaptive:
-        risk, preference, _ = opportunistic_adapt(
-            observation.own_coins, observation.avg_opponent_coins
-        )
-        profile = replace(profile, risk_factor=risk, high_value_preference=preference)
+        profile = profile.adapted[
+            opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
+        ]
     if profile.selective_low_discards:
         groups = conservative_candidates(hand, groups)
+    total = hand_value(hand)
     if profile.length_first_discards:
-        key = lambda g: (len(g.cards), discard_score(hand, g, profile), g.value())
+        key = lambda g: (len(g.cards), _score(total, g, profile), g.value())
     else:
-        key = lambda g: (discard_score(hand, g, profile), len(g.cards), g.value())
+        key = lambda g: (_score(total, g, profile), len(g.cards), g.value())
     return max(groups, key=key)  # max keeps the first (canonical) maximum
 
 
@@ -229,9 +251,6 @@ class HeuristicAgent:
         return self.profile.name
 
     def begin_round(self, seat: int, num_players: int) -> None:
-        pass
-
-    def observe(self, event) -> None:
         pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:

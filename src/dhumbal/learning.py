@@ -466,17 +466,23 @@ class RoundEnv:
             raise ValueError("need 1..4 opponents")
         self.rng = rng
         self.state = None
+        self._observers: list = []
         self.outcome: Optional[RoundOutcome] = None
         self._table: dict[int, Action] = {}
 
     def _broadcast_events(self) -> None:
-        for event in self.state.events:
-            for opponent in self.opponents:
-                opponent.observe(event)
-        self.state.events.clear()
+        if self._observers:
+            for event in self.state.events:
+                for observe in self._observers:
+                    observe(event)
+            self.state.events.clear()
 
     def reset(self) -> tuple[np.ndarray, np.ndarray, Observation]:
-        self.state = deal(self.num_players, self.rng, validate=False, track_events=True)
+        # events are built only when some opponent observes them
+        self._observers = [o.observe for o in self.opponents if hasattr(o, "observe")]
+        self.state = deal(
+            self.num_players, self.rng, validate=False, track_events=bool(self._observers)
+        )
         self.outcome = None
         for seat, opponent in enumerate(self.opponents, start=1):
             opponent.begin_round(seat, self.num_players)
@@ -811,9 +817,6 @@ class RLAgent:
         return table[self.greedy_index(encode_state(observation), _mask(table))]
 
     def begin_round(self, seat: int, num_players: int) -> None:
-        pass
-
-    def observe(self, event) -> None:
         pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:

@@ -13,6 +13,7 @@ from dhumbal.engine import (
     Phase,
     Suit,
 )
+from dhumbal.heuristics import HeuristicAgent
 
 SUIT_BY_LETTER = {"C": Suit.CLUBS, "D": Suit.DIAMONDS, "H": Suit.HEARTS, "S": Suit.SPADES}
 RANK_BY_SYMBOL = {"A": 1, "J": 11, "Q": 12, "K": 13, **{str(r): r for r in range(2, 11)}}
@@ -78,3 +79,14 @@ def patterned_hands(draw):
     found += draw(st.lists(st.sampled_from(FULL_DECK), max_size=8))
     hand = list(dict.fromkeys(found))[:8] or [draw(st.sampled_from(FULL_DECK))]
     return draw(st.permutations(hand))
+
+
+class ObservingAgent(HeuristicAgent):
+    """A heuristic seat that also records every public event it is sent."""
+
+    def __init__(self, profile):
+        super().__init__(profile)
+        self.events = []
+
+    def observe(self, event):
+        self.events.append(event)

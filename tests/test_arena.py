@@ -18,10 +18,10 @@ from dhumbal.arena import (
     run_round,
     run_tournament,
 )
-from dhumbal.engine import Phase, PickSource
+from dhumbal.engine import Discarded, Phase, PickedStock, PickedTop, PickSource
 from dhumbal.heuristics import HeuristicAgent
 from dhumbal.search import SearchAgent
-from helpers import c, cards, make_obs, single
+from helpers import ObservingAgent, c, cards, make_obs, single
 
 
 class TestRandomDecide:
@@ -104,6 +104,10 @@ class TestBuildAgent:
         with pytest.raises(ValueError, match=field):
             TournamentConfig(agents=["random", "random"], **{field: 0})
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            TournamentConfig(agents=["random", "random"], seed=-1)
+
     def test_duplicate_names_disambiguated(self):
         names = agent_names(["random", "random", "aggressive"])
         assert names == ["random#1", "random#2", "aggressive"]
@@ -182,6 +186,44 @@ class TestRunRound:
         assert len(observed) == sum(sum(r.decisions) for r in result.records)
         # a forced decline asks nobody
         assert jhyap_values and max(jhyap_values) <= 10
+
+
+class TestObservers:
+    """``observe`` is optional: events are built only when some seat has it."""
+
+    RULE_AGENTS = ["aggressive", "conservative", "balanced", "opportunistic"]
+
+    def test_rule_agents_do_not_observe(self):
+        assert not any(hasattr(build_agent(name), "observe")
+                       for name in self.RULE_AGENTS + ["random"])
+
+    def test_events_tracked_only_with_an_observer(self, monkeypatch):
+        flags = []
+        original = arena.deal
+
+        def deal_spy(*args, **kwargs):
+            flags.append(kwargs["track_events"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(arena, "deal", deal_spy)
+        run_round(fast_agents(), [0, 1, 2, 3], random.Random(1))
+        run_round([ObservingAgent("balanced"), RandomAgent()], [1, 0], random.Random(1))
+        assert flags == [False, True]
+
+    def test_an_observing_seat_changes_no_record(self):
+        config = TournamentConfig(agents=self.RULE_AGENTS, rounds=24, seed=17)
+        plain = run_tournament(config)
+        observer = ObservingAgent("balanced")
+        agents = [build_agent(name) for name in self.RULE_AGENTS]
+        agents[2] = observer
+        watched = run_tournament(config, agents=agents)
+        assert len(watched.records) == len(plain.records) == 24
+        for left, right in zip(plain.records, watched.records):
+            assert replace(left, decision_ms=()) == replace(right, decision_ms=())
+        # only a pick ends a turn, so the observer saw one pick per turn
+        picks = [e for e in observer.events if isinstance(e, (PickedStock, PickedTop))]
+        assert len(picks) == sum(r.turns for r in watched.records)
+        assert any(isinstance(e, Discarded) for e in observer.events)
 
 
 class TestRunTournament:
@@ -315,6 +357,12 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         path.write_text("round,winner_agent,end_reason,turns\n")
         with pytest.raises(ValueError):
+            records_from_csv(path)
+
+    def test_zero_byte_file_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty file"):
             records_from_csv(path)
 
 

@@ -119,6 +119,31 @@ class TestBadInput:
         assert run_cli("tournament", *argv, "--rounds", 2, "--out", tmp_path) == 2
         assert capsys.readouterr().err.startswith("dhumbal: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("--episodes", 0),
+        ("--episodes", -3),
+        ("--checkpoint-every", 0),
+        ("--checkpoint-every", -2),
+        ("--seed", -1),
+    ], ids=["no-episodes", "negative-episodes", "no-period", "negative-period",
+            "negative-seed"])
+    def test_bad_train_arguments(self, tmp_path, capsys, argv):
+        assert run_cli("train", "dqn", "--episodes", 2, *argv,
+                       "--opponents", "random", "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_tournament_seed(self, tmp_path, capsys):
+        # random.Random(-1) seeds like random.Random(1)
+        assert run_cli("tournament", "rule", "--rounds", 2, "--seed", -1,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_play_seed(self, capsys):
+        assert run_cli("play", "--seed", -1) == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+
     def test_championship_config_with_another_lineup(self, tmp_path, capsys):
         checkpoint = tmp_path / "ppo.json"
         learning.save_learning_checkpoint(
@@ -223,6 +248,13 @@ class TestReportAndExport:
 
     def test_missing_records_is_data_error(self, tmp_path):
         assert run_cli("report", "--records", tmp_path / "nope.csv") == 2
+
+    @pytest.mark.parametrize("command", ["report", "export"])
+    def test_zero_byte_records_is_data_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "records.csv"
+        empty.write_bytes(b"")
+        assert run_cli(command, "--records", empty) == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot parse records {empty}")
 
     def test_corrupt_records_is_data_error(self, tmp_path):
         bad = tmp_path / "records.csv"

@@ -485,7 +485,66 @@ class TestRoundTermination:
         assert outcome.coin_delta == (0, 0)
 
 
+def reference_observation(state, seat) -> dict:
+    """The observation of ``seat`` spelled out field by field from the
+    rules: opponents clockwise from the seat's left, and in the mover's
+    Pick phase the top of the group below the mover's own."""
+    n = len(state.players)
+    stack = state.discard_stack
+    if state.phase is Phase.PICK and seat == state.current_player:
+        top = stack[-2].cards[-1] if len(stack) >= 2 else None
+    else:
+        top = stack[-1].cards[-1] if stack else None
+    others = [(seat + k) % n for k in range(1, n)]
+    return {
+        "seat": seat,
+        "num_players": n,
+        "own_hand": tuple(sorted(state.players[seat].hand)),
+        "discard_top": top,
+        "discard_pile_groups": tuple(stack),
+        "opponent_hand_sizes": tuple(len(state.players[s].hand) for s in others),
+        "own_coins": state.players[seat].coins,
+        "avg_opponent_coins": sum(state.players[s].coins for s in others) / (n - 1),
+        "stock_size": len(state.stock),
+        "turn_count": state.turn_count,
+        "turn_limit": state.turn_limit,
+        "phase": state.phase,
+        "round_index": state.round_index,
+    }
+
+
 class TestObservation:
+    @pytest.mark.parametrize("num_players", [2, 3, 4, 5])
+    def test_matches_field_by_field_reference(self, num_players):
+        rng = random.Random(300 + num_players)
+        coins = [9_000 + 137 * seat * seat for seat in range(num_players)]
+        views = unequal_hands = own_picks = 0
+        for round_index in range(8):
+            state = engine.deal(num_players, rng, coins=coins, round_index=round_index,
+                                turn_limit=40)
+            outcome = None
+            while outcome is None:
+                unequal_hands += len({len(p.hand) for p in state.players}) > 1
+                own_picks += state.phase is Phase.PICK
+                for seat in range(num_players):
+                    obs = engine.observation_for(state, seat)
+                    reference = reference_observation(state, seat)
+                    assert obs == engine.Observation(**reference)
+                    assert type(obs.avg_opponent_coins) is float
+                    assert obs.hand_value == engine.hand_value(reference["own_hand"])
+                    views += 1
+                legal = engine.legal_actions(state)
+                outcome = engine.step(state, legal[rng.randrange(len(legal))])
+        assert views > 100 and unequal_hands and own_picks
+
+    def test_fields_cannot_be_assigned(self):
+        obs = engine.observation_for(engine.deal(3, random.Random(4)), 1)
+        with pytest.raises(AttributeError):
+            obs.own_coins = 0
+        with pytest.raises(AttributeError):
+            obs.phase = Phase.PICK
+        assert obs.own_coins == 10_000 and obs.phase is Phase.JHYAP_CHECK
+
     def test_single_opponent_average(self):
         state = engine.deal(2, random.Random(2))
         state.players[1].coins = 10_050

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import numpy as np
@@ -39,7 +38,7 @@ from dhumbal.learning import (
     train,
     _actor_grad_logits,
 )
-from helpers import c, cards, make_obs, patterned_hands, single
+from helpers import ObservingAgent, c, cards, make_obs, patterned_hands, single
 
 
 def spec_table(obs) -> dict:
@@ -90,7 +89,7 @@ def learner_observations(draw):
     obs = make_obs(hand, pile, [5], stock, phase=phase)
     if phase is Phase.PICK:  # the pickable top lies below the mover's own group
         top = pile[-2].top if len(pile) >= 2 else None
-        obs = dataclasses.replace(obs, discard_top=top)
+        obs = obs._replace(discard_top=top)
     return obs
 
 
@@ -571,6 +570,29 @@ class TestRoundEnv:
                 learner_views += 1
         assert jhyap_values and max(jhyap_values) <= 10  # forced declines ask nobody
         assert len(observed) == learner_views + len(asked) + len(jhyap_values)
+
+    def test_events_only_for_observing_opponents(self):
+        def play(opponents):
+            env = RoundEnv(opponents, random.Random(8))
+            rewards, turns, tracked = [], [], []
+            for _ in range(4):
+                _, mask, _ = env.reset()
+                tracked.append(env.state.events is not None)
+                done = False
+                while not done:
+                    _, mask, reward, done, _ = env.step(int(np.flatnonzero(mask)[-1]))
+                    rewards.append(reward)
+                turns.append(env.state.turn_count)
+            return rewards, turns, tracked
+
+        plain = play([HeuristicAgent("aggressive"), HeuristicAgent("balanced")])
+        observer = ObservingAgent("balanced")
+        watched = play([HeuristicAgent("aggressive"), observer])
+        assert plain[2] == [False] * 4 and watched[2] == [True] * 4
+        assert watched[:2] == plain[:2]
+        picks = [e for e in observer.events
+                 if isinstance(e, (engine.PickedStock, engine.PickedTop))]
+        assert len(picks) == sum(watched[1])  # only a pick ends a turn
 
     def test_settlement_added_to_final_reward(self):
         env = self.make_env(seed=13)
