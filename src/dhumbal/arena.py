@@ -9,19 +9,21 @@ across a tournament's rounds; hands are redealt every round. Sequential
 execution reproduces records bit-for-bit (timing aside) from (config,
 seed); the optional worker pool derives per-round seeds as seed + round
 index instead, which keeps rounds reproducible but fixes observed coin
-balances at their starting value.
+balances at their starting value. Both modes play a round through one
+``_play`` and keep the books in one loop, which asserts that every round is
+zero-sum and conserves the coins.
 
 An agent has a ``name``, ``begin_round(seat, num_players)`` and the three
 ``decide_*`` calls that ``engine.ask`` makes. ``observe(event)`` is
-optional: an agent that has it is sent every public event of the round
-(``engine.PublicEvent``), and a round in which no agent has it builds no
-events at all.
+optional: ``run_round`` passes the ``observe`` of every agent that has it
+to ``engine.deal``, so it is sent every public event of the round
+(``engine.PublicEvent``) as the engine makes it, and a round in which no
+agent has it builds no events at all.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -217,14 +219,13 @@ def run_round(
         if balances is None
         else [balances[agent_of_seat[seat]] for seat in range(num_players)]
     )
-    observers = [agent.observe for agent in agents if hasattr(agent, "observe")]
     state = deal(
         num_players,
         rng,
         coins=coins,
         round_index=round_index,
         turn_limit=turn_limit,
-        track_events=bool(observers),
+        observers=[a.observe for a in agents if hasattr(a, "observe")],
     )
     n_agents = len(agents)
     rewards = [0.0] * n_agents
@@ -258,11 +259,6 @@ def run_round(
                 jhyap_agent = agent_index
                 jhyap_value = obs.hand_value
         outcome = step(state, action)
-        if observers:
-            for event in state.events:
-                for observe in observers:
-                    observe(event)
-            state.events.clear()
 
     delta_by_agent = [0] * n_agents
     final_values = [0] * n_agents
@@ -308,11 +304,35 @@ def _seating_for(round_rng: random.Random, n: int, seating: str) -> list[int]:
     return order
 
 
+def _play(config: TournamentConfig, agents: Sequence, rng: random.Random,
+          balances: Sequence[int], round_index: int) -> RoundRecord:
+    """One round of a tournament: seat the players, then ``run_round``."""
+    seating = _seating_for(rng, len(agents), config.seating)
+    return run_round(agents, seating, rng, balances=balances, round_index=round_index,
+                     turn_limit=config.turn_limit)
+
+
+def _played(config: TournamentConfig, agents: Sequence, balances: list[int]):
+    """Each round's record in round order. Sequential rounds share one
+    stream and read the live ``balances``; pool rounds are each seeded
+    ``seed + round_index`` and see the starting coins."""
+    if config.workers == 1:
+        rng = random.Random(config.seed)
+        for round_index in range(config.rounds):
+            yield _play(config, agents, rng, balances, round_index)
+        return
+    with ProcessPoolExecutor(
+        max_workers=config.workers, initializer=_start_worker, initargs=(config,)
+    ) as pool:
+        yield from pool.map(_parallel_round, range(config.rounds), chunksize=4)
+
+
 def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
     """Play config.rounds rounds with persistent coin balances.
 
     Total coins are conserved every round (asserted); records capture each
-    round fully so analytics can be re-run offline.
+    round fully so analytics can be re-run offline. Pool workers build
+    their own agents from the config, once each.
     """
     if agents is None:
         agents = [build_agent(spec) for spec in config.agents]
@@ -320,59 +340,29 @@ def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
     n = len(agents)
     records: list[RoundRecord] = []
     balances = [config.starting_coins] * n
-    if config.workers > 1:
-        records = _run_parallel(config)
-        for record in records:
-            for index in range(n):
-                balances[index] += record.coin_delta[index]
-    else:
-        rng = random.Random(config.seed)
-        for round_index in range(config.rounds):
-            seating = _seating_for(rng, n, config.seating)
-            record = run_round(
-                agents,
-                seating,
-                rng,
-                balances=balances,
-                round_index=round_index,
-                turn_limit=config.turn_limit,
-            )
-            assert sum(record.coin_delta) == 0
-            for index in range(n):
-                balances[index] += record.coin_delta[index]
-            assert sum(balances) == n * config.starting_coins
-            records.append(record)
+    for record in _played(config, agents, balances):
+        assert sum(record.coin_delta) == 0
+        for index in range(n):
+            balances[index] += record.coin_delta[index]
+        assert sum(balances) == n * config.starting_coins
+        records.append(record)
     summary = analytics.summarize(records, names)
     return TournamentResult(config, names, records, summary, balances)
 
 
-_WORKER_AGENTS: dict[str, list] = {}
+# a pool worker's config and the agents it built from it, set once per worker
+_worker: Optional[tuple[TournamentConfig, list]] = None
 
 
-def _parallel_round(payload: tuple[str, int]) -> RoundRecord:
-    config_json, round_index = payload
-    agents = _WORKER_AGENTS.get(config_json)
-    config = TournamentConfig.from_doc(json.loads(config_json))
-    if agents is None:
-        agents = [build_agent(spec) for spec in config.agents]
-        _WORKER_AGENTS[config_json] = agents
+def _start_worker(config: TournamentConfig) -> None:
+    global _worker
+    _worker = (config, [build_agent(spec) for spec in config.agents])
+
+
+def _parallel_round(round_index: int) -> RoundRecord:
+    config, agents = _worker
     rng = random.Random(config.seed + round_index)
-    seating = _seating_for(rng, len(agents), config.seating)
-    return run_round(
-        agents,
-        seating,
-        rng,
-        balances=[config.starting_coins] * len(agents),
-        round_index=round_index,
-        turn_limit=config.turn_limit,
-    )
-
-
-def _run_parallel(config: TournamentConfig) -> list[RoundRecord]:
-    config_json = json.dumps(config.to_doc(), sort_keys=True)
-    payloads = [(config_json, index) for index in range(config.rounds)]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(_parallel_round, payloads, chunksize=4))
+    return _play(config, agents, rng, [config.starting_coins] * len(agents), round_index)
 
 
 CHAMPIONSHIP_LINEUP = ("aggressive", "ismcts", "ppo", "random")

@@ -74,7 +74,6 @@ def build_parser() -> CliParser:
     common(t)
     t.add_argument("--agents", nargs="+", default=None,
                    help="agent names for kind=custom (e.g. aggressive random)")
-    t.add_argument("--players", type=int, default=None)
     t.add_argument("--iterations", type=int, default=None)
     t.add_argument("--determinizations", type=int, default=3)
     t.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)

@@ -8,10 +8,13 @@ or a same-suit run, then draws from the stockpile or the discard-pile top.
 
 The engine is deterministic given a seeded ``random.Random`` stream and
 offers per-step card-conservation checks, a phase machine, and per-player
-observations that hide opponent hands. Every player of a round, whatever
-the agent, moves through ``step`` and chooses among ``legal_actions``;
-``ask`` is the one place that turns the phase into an agent's ``decide_*``
-call, and ``forced_decline`` names the one move nobody is asked for.
+observations that hide opponent hands. The callables passed to ``deal``
+as ``observers`` receive each public event while the ``apply_*`` op that
+makes it runs; a round with no observers builds no events. Every player of
+a round, whatever the agent, moves through ``step`` and chooses among
+``legal_actions``; ``ask`` is the one place that turns the phase into an
+agent's ``decide_*`` call, and ``forced_decline`` names the one move nobody
+is asked for.
 
 Legal discards work on card codes, ``(rank - 1) * 4 + suit`` (a 0..51 int
 whose order is Card order). ``enumerate_legal_discards`` lists the groups
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class GameError(Exception):
@@ -387,7 +390,7 @@ class EndReason(Enum):
     TURN_LIMIT = "turn_limit"
 
 
-# Public events broadcast to observers (belief trackers, UIs).
+# Public events, passed to a round's observers (belief trackers, UIs).
 class Discarded(NamedTuple):
     seat: int
     group: DiscardGroup
@@ -476,7 +479,7 @@ class RoundState:
         "turn_limit",
         "round_index",
         "validate",
-        "events",
+        "observers",
     )
 
     def __init__(
@@ -489,7 +492,7 @@ class RoundState:
         turn_limit: int = 100,
         round_index: int = 0,
         validate: bool = True,
-        track_events: bool = False,
+        observers: Sequence[Callable[[PublicEvent], object]] = (),
     ):
         self.players = players
         self.stock = stock  # top of the pile is the end of the list
@@ -501,27 +504,28 @@ class RoundState:
         self.turn_limit = turn_limit
         self.round_index = round_index
         self.validate = validate
-        # None when nobody listens; the apply_* ops then build no events
-        self.events: Optional[list[PublicEvent]] = [] if track_events else None
+        # empty when nobody listens; the apply_* ops then build no events
+        self.observers = tuple(observers)
 
     @property
     def num_players(self) -> int:
         return len(self.players)
 
     def clone(self, rng: Optional[random.Random] = None) -> "RoundState":
-        """Cheap copy for simulations; checks and event logging stay off."""
-        copy = RoundState.__new__(RoundState)
-        copy.players = [PlayerState(list(p.hand), p.coins) for p in self.players]
-        copy.stock = list(self.stock)
-        copy.discard_stack = list(self.discard_stack)
+        """Cheap copy for simulations, at the same turn and phase; it has no
+        observers and runs no conservation checks."""
+        copy = RoundState(
+            [PlayerState(list(p.hand), p.coins) for p in self.players],
+            list(self.stock),
+            list(self.discard_stack),
+            rng if rng is not None else self.rng,
+            turn_limit=self.turn_limit,
+            round_index=self.round_index,
+            validate=False,
+        )
         copy.current_player = self.current_player
         copy.turn_count = self.turn_count
         copy.phase = self.phase
-        copy.rng = rng if rng is not None else self.rng
-        copy.turn_limit = self.turn_limit
-        copy.round_index = self.round_index
-        copy.validate = False
-        copy.events = None
         return copy
 
     def all_cards(self) -> list[Card]:
@@ -548,11 +552,13 @@ def deal(
     turn_limit: int = 100,
     round_index: int = 0,
     validate: bool = True,
-    track_events: bool = False,
+    observers: Sequence[Callable[[PublicEvent], object]] = (),
 ) -> RoundState:
     """Shuffle, deal 5 cards per player, flip one card to start the pile.
 
     The same (seeded rng, num_players) always produces the same state.
+    Each of ``observers`` is called with every public event of the round,
+    in order, as it happens; with none, no event is built.
     """
     if not 2 <= num_players <= 5:
         raise ValueError(f"num_players must be 2..5, got {num_players}")
@@ -575,11 +581,18 @@ def deal(
         turn_limit=turn_limit,
         round_index=round_index,
         validate=validate,
-        track_events=track_events,
+        observers=observers,
     )
     if validate:
         state._check_conservation()
     return state
+
+
+def _publish(state: RoundState, event: PublicEvent) -> None:
+    """Pass one public event to every observer of the round. Callers test
+    ``state.observers`` first, so a round nobody watches builds no event."""
+    for observe in state.observers:
+        observe(event)
 
 
 def skip_jhyap(state: RoundState) -> None:
@@ -608,8 +621,8 @@ def apply_discard(state: RoundState, group: DiscardGroup) -> None:
         player.hand.remove(card)
     state.discard_stack.append(group)
     state.phase = _PICK
-    if state.events is not None:
-        state.events.append(Discarded(state.current_player, group))
+    if state.observers:
+        _publish(state, Discarded(state.current_player, group))
     if state.validate:
         state._check_conservation()
 
@@ -633,8 +646,8 @@ def _reshuffle_into_stock(state: RoundState) -> None:
     state.discard_stack = [state.discard_stack[-1]]
     shuffle_cards(cards, state.rng)
     state.stock = cards
-    if state.events is not None:
-        state.events.append(Reshuffled(len(cards)))
+    if state.observers:
+        _publish(state, Reshuffled(len(cards)))
 
 
 def apply_pick(state: RoundState, source: PickSource) -> Card:
@@ -655,8 +668,8 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
                 raise IllegalActionError("stock is exhausted and cannot be refilled")
         card = state.stock.pop()
         players[seat].hand.append(card)
-        if state.events is not None:
-            state.events.append(PickedStock(seat))
+        if state.observers:
+            _publish(state, PickedStock(seat))
         if not state.stock:
             _reshuffle_into_stock(state)
     else:
@@ -670,8 +683,8 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
         else:
             del stack[-2]
         players[seat].hand.append(card)
-        if state.events is not None:
-            state.events.append(PickedTop(seat, card))
+        if state.observers:
+            _publish(state, PickedTop(seat, card))
 
     state.turn_count += 1
     state.current_player = seat + 1 if seat + 1 < len(players) else 0

@@ -466,22 +466,16 @@ class RoundEnv:
             raise ValueError("need 1..4 opponents")
         self.rng = rng
         self.state = None
-        self._observers: list = []
         self.outcome: Optional[RoundOutcome] = None
         self._table: dict[int, Action] = {}
 
-    def _broadcast_events(self) -> None:
-        if self._observers:
-            for event in self.state.events:
-                for observe in self._observers:
-                    observe(event)
-            self.state.events.clear()
-
     def reset(self) -> tuple[np.ndarray, np.ndarray, Observation]:
         # events are built only when some opponent observes them
-        self._observers = [o.observe for o in self.opponents if hasattr(o, "observe")]
         self.state = deal(
-            self.num_players, self.rng, validate=False, track_events=bool(self._observers)
+            self.num_players,
+            self.rng,
+            validate=False,
+            observers=[a.observe for a in self.opponents if hasattr(a, "observe")],
         )
         self.outcome = None
         for seat, opponent in enumerate(self.opponents, start=1):
@@ -498,7 +492,6 @@ class RoundEnv:
                 seat = state.current_player
                 action = ask(self.opponents[seat - 1], observation_for(state, seat), self.rng)
             self.outcome = step(state, action)
-            self._broadcast_events()
 
     def _observe_learner(self) -> tuple[np.ndarray, np.ndarray, Observation]:
         """The learner's observation, its encoding and its mask. The action
@@ -525,7 +518,6 @@ class RoundEnv:
             step_reward = 0.0 if isinstance(action, JhyapAction) else REWARD_VALID
 
         self.outcome = step(self.state, action)
-        self._broadcast_events()
         self._advance_to_learner()
         next_vec, next_mask, _ = self._observe_learner()
         done = self.outcome is not None
@@ -726,10 +718,6 @@ def train(
 
     if out_dir is not None:
         write_curve_csv(out_dir / f"{kind}_curve.csv", curve)
-        if not checkpoint_paths:
-            path = out_dir / f"{kind}_ep{curve[-1].episode:06d}.json"
-            save_learning_checkpoint(kind, core, path, curve[-1].episode)
-            checkpoint_paths.append(path)
     return TrainResult(kind, curve, checkpoint_paths, converged_at, core)
 
 

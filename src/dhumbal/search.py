@@ -216,7 +216,9 @@ def determinize(
     the unseen pool, drawn by ``_sample_positions``; whatever remains
     becomes the stock, shuffled as ``rng.shuffle`` would. The belief's
     ``deal_plan`` holds the work that does not depend on the draws, so a
-    decision does it once.
+    decision does it once. The world is a ``RoundState`` at the
+    observation's mover, turn and phase, playing on ``rng``, with no
+    observers and no conservation checks.
     """
     pool, seats, left = belief.deal_plan
     if left != observation.stock_size:
@@ -236,19 +238,18 @@ def determinize(
         list(observation.own_hand), observation.own_coins
     )
     shuffle_cards(stock, rng)
-    # the fields RoundState(..., validate=False) would set, assigned directly
-    state = RoundState.__new__(RoundState)
-    state.players = players  # type: ignore[assignment]
-    state.stock = stock
-    state.discard_stack = list(observation.discard_pile_groups)
+    state = RoundState(
+        players,  # type: ignore[arg-type]
+        stock,
+        list(observation.discard_pile_groups),
+        rng,
+        turn_limit=observation.turn_limit,
+        round_index=observation.round_index,
+        validate=False,
+    )
     state.current_player = observation.seat
     state.turn_count = observation.turn_count
     state.phase = observation.phase
-    state.rng = rng
-    state.turn_limit = observation.turn_limit
-    state.round_index = observation.round_index
-    state.validate = False
-    state.events = None
     return state
 
 

@@ -202,7 +202,7 @@ class TestObservers:
         original = arena.deal
 
         def deal_spy(*args, **kwargs):
-            flags.append(kwargs["track_events"])
+            flags.append(bool(kwargs["observers"]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(arena, "deal", deal_spy)

@@ -91,6 +91,12 @@ class TestTournamentCommand:
             run_cli("tournament", "blitz", "--out", tmp_path)
         assert excinfo.value.code == 1
 
+    def test_players_is_usage_error(self, tmp_path):
+        # the lineup sets the number of seats; there is no --players
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("tournament", "rule", "--players", 3, "--rounds", 2, "--out", tmp_path)
+        assert excinfo.value.code == 1
+
 
 class TestBadInput:
     """Bad input ends in exit code 2 with a message, not a traceback."""

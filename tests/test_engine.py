@@ -405,6 +405,39 @@ class TestPick:
             engine.apply_pick(state, PickSource.DISCARD_TOP)
 
 
+class TestObservers:
+    def test_every_observer_gets_the_events_in_order(self):
+        first, second = [], []
+        state = engine.deal(2, random.Random(3), observers=[first.append, second.append])
+        # one card stays in the stock and the rest lie as singles under the
+        # flipped card, so seat 0's stock pick empties the stock
+        state.discard_stack[:0] = [single(card) for card in state.stock[:-1]]
+        del state.stock[:-1]
+        assert engine.step(state, JhyapAction.DECLINE) is None
+        group = engine.legal_actions(state)[0]
+        assert engine.step(state, group) is None
+        assert engine.step(state, PickSource.STOCK) is None
+        # every card but the two hands and seat 0's group goes back
+        assert len(state.stock) == 52 - 11
+        assert first == [
+            engine.Discarded(0, group), engine.PickedStock(0), engine.Reshuffled(41)
+        ]
+        assert second == first
+
+    def test_a_round_nobody_watches_publishes_nothing(self, monkeypatch):
+        published = []
+        monkeypatch.setattr(engine, "_publish", lambda state, event: published.append(event))
+        rng = random.Random(3)
+        state = engine.deal(3, rng)
+        outcome = None
+        while outcome is None:
+            legal = engine.legal_actions(state)
+            outcome = engine.step(state, legal[rng.randrange(len(legal))])
+        assert state.turn_count > 0
+        assert published == []
+        assert state.clone().observers == ()
+
+
 class TestResolveJhyap:
     def make_state(self, *hands):
         all_used = [card for h in hands for card in h] + [c("9C")]

@@ -104,16 +104,13 @@ def _determinize_playouts(tmp_path) -> list:
     positions = 0
     while positions < 20:
         num_players = 2 + positions % 4
-        state = engine.deal(num_players, rng, turn_limit=60, track_events=True)
         trackers = [search.BeliefTracker(seat, num_players) for seat in range(num_players)]
+        state = engine.deal(num_players, rng, turn_limit=60,
+                            observers=[t.update for t in trackers])
         for _ in range(rng.randrange(4, 120)):
             actions = engine.legal_actions(state)
             if engine.step(state, actions[rng.randrange(len(actions))]) is not None:
                 break
-            for event in state.events:
-                for tracker in trackers:
-                    tracker.update(event)
-            state.events.clear()
         else:
             seat = state.current_player
             observation = engine.observation_for(state, seat)

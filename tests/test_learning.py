@@ -577,7 +577,7 @@ class TestRoundEnv:
             rewards, turns, tracked = [], [], []
             for _ in range(4):
                 _, mask, _ = env.reset()
-                tracked.append(env.state.events is not None)
+                tracked.append(bool(env.state.observers))
                 done = False
                 while not done:
                     _, mask, reward, done, _ = env.step(int(np.flatnonzero(mask)[-1]))
@@ -661,6 +661,15 @@ class TestTraining:
         result = train("dqn", opponents=[RandomAgent()], episodes=0, seed=1)
         assert result.curve == []
         assert result.checkpoint_paths == []
+
+    def test_zero_episodes_writes_a_header_only_curve(self, tmp_path):
+        result = train("dqn", opponents=[RandomAgent()], episodes=0, seed=1,
+                       out_dir=tmp_path)
+        assert result.curve == []
+        assert result.checkpoint_paths == []
+        assert list(tmp_path.glob("*.json")) == []
+        curve = (tmp_path / "dqn_curve.csv").read_text().splitlines()
+        assert curve == ["episode,reward,win,length,loss"]
 
 
 class TestConvergence:

@@ -140,8 +140,8 @@ class TestDeterminize:
 
     def test_conservation_from_live_game(self):
         rng = random.Random(11)
-        state = engine.deal(3, rng, track_events=True)
         tracker = BeliefTracker(seat=0, num_players=3)
+        state = engine.deal(3, rng, observers=[tracker.update])
         # play two full orbits of scripted random moves, feeding the tracker
         for _ in range(6):
             if engine.round_termination(state):
@@ -152,9 +152,6 @@ class TestDeterminize:
             if engine.round_termination(state):
                 break
             engine.apply_pick(state, engine.legal_actions(state)[0])
-            for event in state.events:
-                tracker.update(event)
-            state.events.clear()
         if state.current_player != 0:
             pytest.skip("scripted walk ended off-seat")  # pragma: no cover
         obs = engine.observation_for(state, 0)
@@ -188,16 +185,12 @@ def play_with_trackers(seed, num_players):
     """A uniform-random round through ``engine.step`` with a belief tracker
     per seat: yields each live position's state and its mover's tracker."""
     rng = random.Random(seed)
-    state = engine.deal(num_players, rng, track_events=True)
     trackers = [BeliefTracker(seat, num_players) for seat in range(num_players)]
+    state = engine.deal(num_players, rng, observers=[t.update for t in trackers])
     while True:
         yield state, trackers[state.current_player]
         legal = engine.legal_actions(state)
         outcome = engine.step(state, legal[rng.randrange(len(legal))])
-        for event in state.events:
-            for tracker in trackers:
-                tracker.update(event)
-        state.events.clear()
         if outcome is not None:
             return
 
