@@ -332,8 +332,14 @@ def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
 
     Total coins are conserved every round (asserted); records capture each
     round fully so analytics can be re-run offline. Pool workers build
-    their own agents from the config, once each.
+    their own agents from the config, once each, so ``agents`` can be
+    passed only with ``workers == 1``.
     """
+    if agents is not None and config.workers > 1:
+        raise ValueError(
+            f"agents were passed with workers={config.workers}: pool workers "
+            "build their own agents from config.agents; use workers=1"
+        )
     if agents is None:
         agents = [build_agent(spec) for spec in config.agents]
     names = agent_names(config.agents)

@@ -306,7 +306,9 @@ def summary_from_csv(path: Path) -> analytics.MetricsSummary:
 
 def cmd_tournament(args) -> int:
     config = _tournament_config(args)
-    agents = _build_agents(config.agents)
+    agents = _build_agents(config.agents)  # a bad entry exits 2 before any round
+    if config.workers > 1:
+        agents = None  # each pool worker builds its own from the config
     result = (
         arena.championship(config, agents)
         if args.command == "championship"

@@ -17,6 +17,13 @@ their declaration thresholds, pick rules, and the p_h / r weights:
   9-10) and prefers longer discards before higher-scoring ones;
 * opportunistic: re-derives (r, p_h, threshold) from the coin standings
   on every decision, choosing between two adapted profiles built once.
+
+Decisions work on card codes (``engine.CARD_CODE``). A discard walks the
+candidates of ``enumerate_legal_discards`` in its order as (kind, codes,
+value) triples and builds only the chosen group; a pick tests whether the
+pile card completes a set or run from the hand's rank and suit weight
+sums. ``discard_score`` and ``completes_combination`` are the card-level
+references.
 """
 
 from __future__ import annotations
@@ -27,13 +34,20 @@ from functools import cached_property
 from typing import Optional
 
 from .engine import (
+    CARD_CODE,
+    CODE_RANK,
     Card,
     DiscardGroup,
+    GameError,
     GroupKind,
     JHYAP_THRESHOLD,
     Observation,
     PickSource,
-    enumerate_legal_discards,
+    _RANK_WEIGHT,
+    _SINGLE_GROUPS,
+    _SUIT_WEIGHT,
+    _build_group,
+    _patterns,
     hand_value,
 )
 
@@ -112,7 +126,13 @@ def make_profile(name: str, **overrides) -> HeuristicProfile:
 _AHEAD = (1.2, 0.8, 8)
 _BEHIND = (0.8, 0.3, 9)
 
-_SEQUENCE = GroupKind.SEQUENCE  # a module global: Enum attribute lookups cost more
+# module globals: Enum attribute lookups cost more
+_SINGLE, _SEQUENCE = GroupKind.SINGLE, GroupKind.SEQUENCE
+
+# Each single discard as a (kind, codes, value) candidate, by card code
+_SINGLE_CANDIDATES: tuple[tuple[GroupKind, tuple[int], int], ...] = tuple(
+    (_SINGLE, (code,), rank) for code, rank in enumerate(CODE_RANK)
+)
 
 
 def opportunistic_adapt(
@@ -130,19 +150,23 @@ def discard_score(
     hand, group: DiscardGroup, profile: HeuristicProfile
 ) -> float:
     """Score one candidate discard for a hand; higher is better."""
-    return _score(hand_value(hand), group, profile)
+    return _score(
+        hand_value(hand), group.value(), len(group.cards), group.kind is _SEQUENCE, profile
+    )
 
 
-def _score(total: int, group: DiscardGroup, profile: HeuristicProfile) -> float:
-    """``discard_score`` for a hand of value ``total``, which ``decide_discard``
-    sums once for all of its candidates."""
-    value = group.value()
+def _score(
+    total: int, value: int, n: int, sequence: bool, profile: HeuristicProfile
+) -> float:
+    """The scoring rule for an ``n``-card discard worth ``value`` from a hand
+    worth ``total``: the one formula of ``discard_score`` and
+    ``decide_discard``."""
     remaining = total - value
     improvement = (max(0.0, (total - remaining) / total) * 10.0) if total else 0.0
     score = (
         value * profile.high_value_preference
-        + len(group.cards) * profile.multi_card_bonus
-        + (profile.sequence_bonus if group.kind is _SEQUENCE else 0.0)
+        + n * profile.multi_card_bonus
+        + (profile.sequence_bonus if sequence else 0.0)
         + (50.0 if remaining <= JHYAP_THRESHOLD else 0.0)
         + improvement
     )
@@ -188,21 +212,46 @@ def conservative_candidates(
 
 def decide_discard(profile: HeuristicProfile, observation: Observation) -> DiscardGroup:
     """Best-scoring legal discard; ties prefer more cards, then higher value,
-    then canonical order."""
-    hand = observation.own_hand
-    groups = enumerate_legal_discards(hand)
+    then canonical order.
+
+    The choice of ``max`` over ``conservative_candidates`` (for profiles
+    with ``selective_low_discards``) of ``enumerate_legal_discards``, made
+    on card codes: each candidate is a (kind, codes, value) triple, the
+    singles in code order and then each ``_patterns`` pick, and only the
+    chosen group is built."""
     if profile.adaptive:
         profile = profile.adapted[
             opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
         ]
-    if profile.selective_low_discards:
-        groups = conservative_candidates(hand, groups)
-    total = hand_value(hand)
-    if profile.length_first_discards:
-        key = lambda g: (len(g.cards), _score(total, g, profile), g.value())
-    else:
-        key = lambda g: (_score(total, g, profile), len(g.cards), g.value())
-    return max(groups, key=key)  # max keeps the first (canonical) maximum
+    codes = sorted(map(CARD_CODE.__getitem__, observation.own_hand))
+    if not codes:
+        raise GameError("cannot choose a discard from an empty hand")
+    total = sum(map(CODE_RANK.__getitem__, codes))
+    candidates = list(map(_SINGLE_CANDIDATES.__getitem__, codes))
+    for kind, members, picks in _patterns(codes):
+        for pick in picks:
+            picked = [members[p] for p in pick]
+            candidates.append((kind, picked, sum(map(CODE_RANK.__getitem__, picked))))
+    if profile.selective_low_discards and total <= 12:
+        # conservative_candidates: codes ascend, so a candidate holds the
+        # hand's lowest rank iff its first code does
+        low_rank = CODE_RANK[codes[0]]
+        candidates = [
+            candidate
+            for candidate in candidates
+            if total - candidate[2] <= 7 or CODE_RANK[candidate[1][0]] != low_rank
+        ] or candidates
+    length_first = profile.length_first_discards
+    best = best_key = None
+    for candidate in candidates:
+        kind, picked, value = candidate
+        n = len(picked)
+        score = _score(total, value, n, kind is _SEQUENCE, profile)
+        key = (n, score, value) if length_first else (score, n, value)
+        if best_key is None or key > best_key:  # the first maximum, as max keeps
+            best, best_key = candidate, key
+    kind, picked, _ = best
+    return _SINGLE_GROUPS[picked[0]] if kind is _SINGLE else _build_group(kind, picked)
 
 
 def completes_combination(hand, card: Card) -> bool:
@@ -233,7 +282,21 @@ def decide_pick(profile: HeuristicProfile, observation: Observation) -> PickSour
         and observation.hand_value > JHYAP_THRESHOLD
     ):
         threshold = profile.secondary_pick_threshold
-    if top.rank <= threshold or completes_combination(observation.own_hand, top):
+    if top.rank <= threshold:
+        return PickSource.DISCARD_TOP
+    # completes_combination on the hand's weight sums: the hand holds the
+    # top's rank, or the top's suit bit lies in a window of three set bits
+    ranks = suits = 0
+    for card in observation.own_hand:
+        code = CARD_CODE[card]
+        ranks += _RANK_WEIGHT[code]
+        suits += _SUIT_WEIGHT[code]
+    code = CARD_CODE[top]
+    if ranks & 7 * _RANK_WEIGHT[code]:
+        return PickSource.DISCARD_TOP
+    bit = _SUIT_WEIGHT[code]
+    suits |= bit
+    if suits & suits >> 1 & suits >> 2 & (bit | bit >> 1 | bit >> 2):
         return PickSource.DISCARD_TOP
     return PickSource.STOCK
 

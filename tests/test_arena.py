@@ -287,6 +287,18 @@ class TestRunTournament:
             # a 4-player round consumes at most the full deck
             assert 0 < sum(record.cards_discarded) <= 52
 
+    def test_agents_with_workers_are_refused(self, monkeypatch):
+        # pool workers build their own agents, so objects passed in would
+        # never play; the call fails before any pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(arena, "ProcessPoolExecutor", no_pool)
+        config = self.rule_config(rounds=4, workers=2)
+        agents = [build_agent(spec) for spec in config.agents]
+        with pytest.raises(ValueError, match="workers=2"):
+            run_tournament(config, agents=agents)
+
     def test_parallel_workers_smoke(self):
         config = self.rule_config(rounds=6, workers=2)
         result = run_tournament(config)
@@ -306,6 +318,14 @@ class TestChampionship:
                                   rounds=2)
         with pytest.raises(ValueError, match="championship"):
             championship(config)
+
+    def test_agents_with_workers_are_refused(self):
+        config = TournamentConfig(
+            agents=["aggressive", "ismcts", {"kind": "ppo", "checkpoint": "ppo.json"},
+                    "random"],
+            rounds=2, workers=2)
+        with pytest.raises(ValueError, match="workers=2"):
+            championship(config, agents=[RandomAgent() for _ in range(4)])
 
     def test_runs_with_correct_lineup(self, tmp_path):
         from dhumbal.learning import PPOAgentCore, PPOConfig, save_learning_checkpoint

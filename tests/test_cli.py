@@ -60,6 +60,14 @@ class TestTournamentCommand:
         assert len(records) == 3
         assert sorted(names) == ["dqn", "ppo"]
 
+    def test_rule_with_workers(self, tmp_path):
+        # the command checks the agent entries, then leaves building the
+        # agents to the pool workers
+        assert run_cli("tournament", "rule", "--rounds", 4, "--workers", 2,
+                       "--out", tmp_path) == 0
+        records, _ = arena.records_from_csv(tmp_path / "records.csv")
+        assert len(records) == 4
+
     def test_custom_agents(self, tmp_path):
         assert (
             run_cli(

@@ -19,7 +19,7 @@ from dhumbal.heuristics import (
     make_profile,
     opportunistic_adapt,
 )
-from helpers import c, cards, make_obs, single
+from helpers import c, cards, make_obs, patterned_hands, single
 
 AGGRESSIVE = make_profile("aggressive")
 CONSERVATIVE = make_profile("conservative")
@@ -204,6 +204,114 @@ class TestDecideDiscard:
         assert decide_discard(AGGRESSIVE, obs) == decide_discard(AGGRESSIVE, obs)
 
 
+def reference_discard(profile, observation):
+    """``decide_discard`` as ``max`` over the card-level enumeration, with
+    ``discard_score`` in the key."""
+    if profile.adaptive:
+        profile = profile.adapted[
+            opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
+        ]
+    hand = observation.own_hand
+    groups = engine.enumerate_legal_discards(hand)
+    if profile.selective_low_discards:
+        groups = conservative_candidates(hand, groups)
+    if profile.length_first_discards:
+        key = lambda g: (len(g.cards), discard_score(hand, g, profile), g.value())
+    else:
+        key = lambda g: (discard_score(hand, g, profile), len(g.cards), g.value())
+    return max(groups, key=key)
+
+
+# the stock profiles, and each with a sign or a weight turned: a preference
+# for low values, a penalty per card, both (which makes the best discard the
+# lowest single, tied whenever the hand holds two of that rank), and no score
+# at all
+DISCARD_PROFILES = [
+    make_profile(name, **override)
+    for name in heuristics.PROFILES
+    for override in (
+        {},
+        {"high_value_preference": -1},
+        {"multi_card_bonus": -3},
+        {"high_value_preference": -1, "multi_card_bonus": -3},
+        {"risk_factor": 0},
+    )
+]
+
+
+@st.composite
+def low_hands(draw):
+    """Hands of 2 to 5 distinct cards of rank 6 or less, in any order, worth
+    at most 12 points: the hands on which the conservative filter applies."""
+    low = [card for card in engine.FULL_DECK if card.rank <= 6]
+    hand = draw(st.lists(st.sampled_from(low), min_size=2, max_size=5, unique=True))
+    while engine.hand_value(hand) > 12:
+        hand.pop()
+    return hand
+
+
+class TestDecideDiscardMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        patterned_hands(),
+        st.booleans(),
+        st.sampled_from(DISCARD_PROFILES),
+        st.sampled_from([9_000, 10_000, 11_000]),  # behind, level with, ahead of the table
+    )
+    def test_same_choice_as_max_over_enumeration(self, hand, in_order, profile, coins):
+        self.check(hand, in_order, profile, coins)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        low_hands(),
+        st.booleans(),
+        st.sampled_from([p for p in DISCARD_PROFILES if p.selective_low_discards]),
+    )
+    def test_same_choice_under_the_low_card_filter(self, hand, in_order, profile):
+        self.check(hand, in_order, profile, 10_000)
+
+    @staticmethod
+    def check(hand, in_order, profile, coins):
+        obs = obs_with_hand(hand, phase=Phase.DISCARD, own_coins=coins)
+        # own_hand in the order drawn, or sorted as the engine hands it out
+        obs = obs._replace(own_hand=tuple(sorted(hand) if in_order else hand))
+        assert decide_discard(profile, obs) == reference_discard(profile, obs)
+
+    def test_ties_keep_the_first_candidate(self):
+        # risk_factor=0 scores every candidate 0, so the key falls to the
+        # card count and the value: the set of fives and the run through
+        # 5H tie at 3 cards and 15 points, and the set comes first
+        profile = make_profile("aggressive", risk_factor=0)
+        obs = obs_with_hand(cards("4H", "5H", "6H", "5C", "5D"), phase=Phase.DISCARD)
+        assert decide_discard(profile, obs) == engine.make_group(cards("5C", "5D", "5H"))
+        # a low preference and a card penalty make the best discard a low
+        # single; the two deuces tie, and clubs come first
+        profile = make_profile("aggressive", high_value_preference=-1, multi_card_bonus=-3)
+        obs = obs_with_hand(cards("2S", "KH", "2C", "QD"), phase=Phase.DISCARD)
+        assert decide_discard(profile, obs) == single(c("2C"))
+
+    def test_builds_only_the_chosen_group(self, monkeypatch):
+        # the enumeration of this hand builds 7 new groups; a decision builds
+        # the one it returns, and none when that is a shared single
+        built = []
+        original = engine.DiscardGroup
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "DiscardGroup", counting)
+        hand = cards("5H", "6H", "7H", "8H", "5S", "5D", "KC")
+        choice = decide_discard(AGGRESSIVE, obs_with_hand(hand, phase=Phase.DISCARD))
+        assert choice.kind is GroupKind.SEQUENCE and len(built) == 1
+        decide_discard(AGGRESSIVE, obs_with_hand(cards("KC", "2D"), phase=Phase.DISCARD))
+        assert len(built) == 1
+
+    def test_empty_hand_is_refused(self):
+        with pytest.raises(engine.GameError):
+            decide_discard(AGGRESSIVE, obs_with_hand([], phase=Phase.DISCARD))
+
+
 class TestDecidePick:
     def test_aggressive_takes_cheap_top(self):
         obs = obs_with_hand(cards("KH", "QS", "8D"), phase=Phase.PICK, top=c("4D"))
@@ -237,6 +345,17 @@ class TestDecidePick:
 
 
 class TestCompletesCombination:
+    @settings(max_examples=400, deadline=None)
+    @given(patterned_hands(), st.sampled_from(engine.FULL_DECK))
+    def test_decide_pick_agrees(self, hand, top):
+        # no pile card is at or under a threshold of 0, so the pick is the
+        # combination test alone
+        profile = make_profile("aggressive", pick_threshold=0)
+        obs = obs_with_hand(hand, phase=Phase.PICK, top=top)
+        obs = obs._replace(own_hand=tuple(hand))
+        taken = decide_pick(profile, obs) is PickSource.DISCARD_TOP
+        assert taken == completes_combination(hand, top)
+
     def test_pair(self):
         assert completes_combination(cards("9H", "KD"), c("9C"))
 
