@@ -337,6 +337,8 @@ def cmd_train(args) -> int:
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         raise DataError(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
     _check_seed(args.seed)
+    if args.opponents and len(args.opponents) > 4:
+        raise DataError(f"train needs 1..4 --opponents, got {len(args.opponents)}")
     opponents = _build_agents(args.opponents) if args.opponents else None
     out_dir = args.out_dir or (default_out_dir() / f"train_{args.kind}")
     result = learning.train(
@@ -482,6 +484,8 @@ def cmd_play(args) -> int:
     import random as _random
 
     _check_seed(args.seed)
+    if args.rounds < 1:
+        raise DataError(f"--rounds must be >= 1, got {args.rounds}")
     specs = list(args.agents)
     if args.checkpoint is not None:
         specs = [

@@ -16,15 +16,17 @@ a round, whatever the agent, moves through ``step`` and chooses among
 agent's ``decide_*`` call, and ``forced_decline`` names the one move nobody
 is asked for.
 
-Legal discards work on card codes, ``(rank - 1) * 4 + suit`` (a 0..51 int
-whose order is Card order). ``enumerate_legal_discards`` lists the groups
-of one pattern scan. The one discard draw needs no scan for most hands:
-``discard_count`` counts the groups from a hand's rank and suit weight
-sums, ``draw_discard_index`` draws one index below the count as
-``rng.randrange`` would, and ``discard_at`` builds the group at that index,
-scanning only when it falls past the singles. ``random_discard_group``
-makes those calls for a Card hand, and search playouts make them on sums
-they keep as they go. Tests hold the
+A ``Card`` is an int, its code ``(rank - 1) * 4 + suit`` (0..51, in card
+order), so it indexes the engine's per-card tables as it is. Every hand
+stays sorted: ``deal`` sorts it, a discard removes cards, a pick inserts.
+
+``enumerate_legal_discards`` lists the groups of one pattern scan. The one
+discard draw needs no scan for most hands: ``discard_count`` counts the
+groups from a hand's rank and suit weight sums, ``draw_discard_index``
+draws one index below the count as ``rng.randrange`` would, and
+``discard_at`` builds the group at that index, scanning only when it falls
+past the singles. ``random_discard_group`` makes those calls for any hand,
+and search playouts make them on sums they keep as they go. Tests hold the
 count to the enumeration's length, every draw to one ``randrange`` over the
 enumeration with the same ``rng`` state after it, and the enumeration to an
 order derived from the rules alone.
@@ -33,10 +35,10 @@ order derived from the rules alone.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import combinations
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
@@ -55,12 +57,29 @@ class Suit(IntEnum):
     SPADES = 3
 
 
-class Card(NamedTuple):
-    """A playing card. Tuple ordering is the canonical order: ascending
-    rank, ties broken by suit (Clubs < Diamonds < Hearts < Spades)."""
+# the rank and the suit of each card code
+_RANK_OF: tuple[int, ...] = tuple(code // 4 + 1 for code in range(52))
+_SUIT_OF: tuple[int, ...] = tuple(code % 4 for code in range(52))
 
-    rank: int  # 1..13; 1=Ace, 11=Jack, 12=Queen, 13=King
-    suit: int
+
+class Card(int):
+    """A playing card, an int equal to its code ``(rank - 1) * 4 + suit``.
+    Int order is the canonical order: ascending rank, ties broken by suit
+    (Clubs < Diamonds < Hearts < Spades)."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, suit: int) -> "Card":
+        return int.__new__(cls, (rank - 1) * 4 + suit)
+
+    rank = property(_RANK_OF.__getitem__, doc="1..13; 1=Ace, 11=Jack, 12=Queen, 13=King")
+    suit = property(_SUIT_OF.__getitem__, doc="0..3, as ``Suit``")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.rank, self.suit
+
+    def __repr__(self) -> str:
+        return f"Card(rank={self.rank}, suit={self.suit})"
 
     def __str__(self) -> str:
         return f"{RANK_SYMBOLS[self.rank]}{SUIT_SYMBOLS[self.suit]}"
@@ -79,13 +98,10 @@ def card_index(card: Card) -> int:
     return card.suit * 13 + card.rank - 1
 
 
-_rank_of = itemgetter(0)  # Card.rank by position, cheaper than the attribute
-
-
 def hand_value(hand: Sequence[Card]) -> int:
     """Sum of card values over a hand; 0 for an empty hand. A card is worth
     its rank: Ace=1, 2..10 at face value, J/Q/K=11/12/13."""
-    return sum(map(_rank_of, hand))
+    return sum(map(_RANK_OF.__getitem__, hand))
 
 
 class GroupKind(IntEnum):
@@ -154,24 +170,16 @@ def make_group(cards: Sequence[Card]) -> DiscardGroup:
     return DiscardGroup(kind, tuple(sorted(cards)))
 
 
-# Card codes. The discard rules and search playouts work on
-# ``(rank - 1) * 4 + suit``, a 0..51 int whose order is Card order: sorted
-# codes are a canonically sorted hand, and these tables, built once at
-# import, map a card to its code and a code back to its card and rank.
-CODE_CARD: tuple[Card, ...] = tuple(sorted(FULL_DECK))
-CARD_CODE: dict[Card, int] = {card: code for code, card in enumerate(CODE_CARD)}
-CODE_RANK: tuple[int, ...] = tuple(card.rank for card in CODE_CARD)
-
-# Per-rank and per-suit weights per code. Summed over a hand, the rank
+# Per-rank and per-suit weights per card. Summed over a hand, the rank
 # weights count each rank in a 3-bit field, so a field of 2 or more (bit 1 or
 # 2 set) is a set; the suit weights set bit ``rank - 1`` of a 15-bit field per
 # suit, so three consecutive bits in one field are a run. A field reads 0b010
 # for a pair, 0b011 for three of a kind and 0b100 for four, which the masks
 # below pick out; bits 13 and 14 of a suit field stay clear, so no run
 # crosses into the next suit.
-_RANK_WEIGHT: tuple[int, ...] = tuple(1 << 3 * (card.rank - 1) for card in CODE_CARD)
+_RANK_WEIGHT: tuple[int, ...] = tuple(1 << 3 * (rank - 1) for rank in _RANK_OF)
 _SUIT_WEIGHT: tuple[int, ...] = tuple(
-    1 << (15 * card.suit + card.rank - 1) for card in CODE_CARD
+    1 << (15 * suit + rank - 1) for rank, suit in zip(_RANK_OF, _SUIT_OF)
 )
 _ONE_BITS = sum(0b001 << 3 * field for field in range(13))
 _PAIR_BITS, _FOUR_BITS = _ONE_BITS << 1, _ONE_BITS << 2
@@ -193,7 +201,7 @@ _RUN_PICKS = {
 # Every single discard as one shared group: a group is immutable, and most
 # discards are singles.
 _SINGLE_GROUPS: tuple[DiscardGroup, ...] = tuple(
-    DiscardGroup(_SINGLE, (card,)) for card in CODE_CARD
+    DiscardGroup(_SINGLE, (card,)) for card in sorted(FULL_DECK)
 )
 
 
@@ -233,8 +241,8 @@ def _patterns(cards: list[int]) -> list[tuple[GroupKind, list[int], list[tuple[i
     return found
 
 
-def _build_group(kind: GroupKind, codes: Iterable[int]) -> DiscardGroup:
-    return DiscardGroup(kind, tuple(map(CODE_CARD.__getitem__, codes)))
+def _build_group(kind: GroupKind, cards: Iterable[Card]) -> DiscardGroup:
+    return DiscardGroup(kind, tuple(cards))
 
 
 def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
@@ -247,7 +255,7 @@ def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
     """
     if not hand:
         raise GameError("cannot enumerate discards for an empty hand")
-    cards = sorted(map(CARD_CODE.__getitem__, hand))
+    cards = sorted(hand)
     groups = [_SINGLE_GROUPS[code] for code in cards]
     for kind, members, picks in _patterns(cards):
         for pick in picks:
@@ -296,19 +304,16 @@ def draw_discard_index(n: int, ranks: int, suits: int, rng: random.Random) -> in
     return index
 
 
-def discard_at(cards: list[int], index: int) -> tuple[DiscardGroup, tuple[int, ...]]:
-    """The group at ``index`` in the enumeration of a sorted hand of codes,
-    and its codes in ascending order. Only an index past the singles runs
-    the ``_patterns`` scan."""
+def discard_at(cards: list[Card], index: int) -> DiscardGroup:
+    """The group at ``index`` in the enumeration of a sorted hand. Only an
+    index past the singles runs the ``_patterns`` scan."""
     n = len(cards)
     if index < n:
-        code = cards[index]
-        return _SINGLE_GROUPS[code], (code,)
+        return _SINGLE_GROUPS[cards[index]]
     index -= n
     for kind, members, picks in _patterns(cards):
         if index < len(picks):
-            codes = tuple(members[p] for p in picks[index])
-            return _build_group(kind, codes), codes
+            return _build_group(kind, [members[p] for p in picks[index]])
         index -= len(picks)
     raise AssertionError("unreachable: group counts out of sync")
 
@@ -318,14 +323,14 @@ def random_discard_group(hand: Sequence[Card], rng: random.Random) -> DiscardGro
     ``draw_discard_index`` counts the groups from the hand's weight sums and
     draws one index, and ``discard_at`` builds only the chosen group. Search
     playouts keep the sums as they go and make the same two calls."""
-    cards = sorted(map(CARD_CODE.__getitem__, hand))
+    cards = sorted(hand)
     if not cards:
         raise GameError("cannot discard from an empty hand")
     ranks = suits = 0
     for code in cards:
         ranks += _RANK_WEIGHT[code]
         suits += _SUIT_WEIGHT[code]
-    return discard_at(cards, draw_discard_index(len(cards), ranks, suits, rng))[0]
+    return discard_at(cards, draw_discard_index(len(cards), ranks, suits, rng))
 
 
 def shuffle_cards(cards: list, rng: random.Random) -> None:
@@ -572,6 +577,8 @@ def deal(
     for _ in range(5):  # round-robin, one card at a time
         for player in players:
             player.hand.append(deck.pop())
+    for player in players:
+        player.hand.sort()
     flip = deck.pop()
     state = RoundState(
         players,
@@ -667,7 +674,7 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
             if not state.stock:
                 raise IllegalActionError("stock is exhausted and cannot be refilled")
         card = state.stock.pop()
-        players[seat].hand.append(card)
+        insort(players[seat].hand, card)
         if state.observers:
             _publish(state, PickedStock(seat))
         if not state.stock:
@@ -682,7 +689,7 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
             stack[-2] = DiscardGroup(group.kind, group.cards[:-1])
         else:
             del stack[-2]
-        players[seat].hand.append(card)
+        insort(players[seat].hand, card)
         if state.observers:
             _publish(state, PickedTop(seat, card))
 
@@ -873,7 +880,7 @@ def observation_for(state: RoundState, seat: int) -> Observation:
     return Observation(
         seat,
         num_players,
-        tuple(sorted(player.hand)),
+        tuple(player.hand),
         top,
         tuple(state.discard_stack),
         tuple([len(p.hand) for p in others]),

@@ -18,12 +18,12 @@ their declaration thresholds, pick rules, and the p_h / r weights:
 * opportunistic: re-derives (r, p_h, threshold) from the coin standings
   on every decision, choosing between two adapted profiles built once.
 
-Decisions work on card codes (``engine.CARD_CODE``). A discard walks the
-candidates of ``enumerate_legal_discards`` in its order as (kind, codes,
-value) triples and builds only the chosen group; a pick tests whether the
-pile card completes a set or run from the hand's rank and suit weight
-sums. ``discard_score`` and ``completes_combination`` are the card-level
-references.
+A card is its code, so decisions index the engine's per-card tables as
+they are. A discard walks the candidates of ``enumerate_legal_discards``
+in its order as (kind, cards, value) triples and builds only the chosen
+group; a pick tests whether the pile card completes a set or run from the
+hand's rank and suit weight sums. ``discard_score`` and
+``completes_combination`` are the card-level references.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from functools import cached_property
 from typing import Optional
 
 from .engine import (
-    CARD_CODE,
-    CODE_RANK,
     Card,
     DiscardGroup,
     GameError,
@@ -43,6 +41,7 @@ from .engine import (
     JHYAP_THRESHOLD,
     Observation,
     PickSource,
+    _RANK_OF,
     _RANK_WEIGHT,
     _SINGLE_GROUPS,
     _SUIT_WEIGHT,
@@ -129,9 +128,9 @@ _BEHIND = (0.8, 0.3, 9)
 # module globals: Enum attribute lookups cost more
 _SINGLE, _SEQUENCE = GroupKind.SINGLE, GroupKind.SEQUENCE
 
-# Each single discard as a (kind, codes, value) candidate, by card code
+# Each single discard as a (kind, cards, value) candidate, by card code
 _SINGLE_CANDIDATES: tuple[tuple[GroupKind, tuple[int], int], ...] = tuple(
-    (_SINGLE, (code,), rank) for code, rank in enumerate(CODE_RANK)
+    (_SINGLE, (code,), rank) for code, rank in enumerate(_RANK_OF)
 )
 
 
@@ -216,30 +215,30 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
 
     The choice of ``max`` over ``conservative_candidates`` (for profiles
     with ``selective_low_discards``) of ``enumerate_legal_discards``, made
-    on card codes: each candidate is a (kind, codes, value) triple, the
-    singles in code order and then each ``_patterns`` pick, and only the
+    on cards as codes: each candidate is a (kind, cards, value) triple, the
+    singles in card order and then each ``_patterns`` pick, and only the
     chosen group is built."""
     if profile.adaptive:
         profile = profile.adapted[
             opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
         ]
-    codes = sorted(map(CARD_CODE.__getitem__, observation.own_hand))
-    if not codes:
+    hand = sorted(observation.own_hand)
+    if not hand:
         raise GameError("cannot choose a discard from an empty hand")
-    total = sum(map(CODE_RANK.__getitem__, codes))
-    candidates = list(map(_SINGLE_CANDIDATES.__getitem__, codes))
-    for kind, members, picks in _patterns(codes):
+    total = sum(map(_RANK_OF.__getitem__, hand))
+    candidates = list(map(_SINGLE_CANDIDATES.__getitem__, hand))
+    for kind, members, picks in _patterns(hand):
         for pick in picks:
             picked = [members[p] for p in pick]
-            candidates.append((kind, picked, sum(map(CODE_RANK.__getitem__, picked))))
+            candidates.append((kind, picked, sum(map(_RANK_OF.__getitem__, picked))))
     if profile.selective_low_discards and total <= 12:
-        # conservative_candidates: codes ascend, so a candidate holds the
-        # hand's lowest rank iff its first code does
-        low_rank = CODE_RANK[codes[0]]
+        # conservative_candidates: the hand ascends, so a candidate holds
+        # the hand's lowest rank iff its first card does
+        low_rank = _RANK_OF[hand[0]]
         candidates = [
             candidate
             for candidate in candidates
-            if total - candidate[2] <= 7 or CODE_RANK[candidate[1][0]] != low_rank
+            if total - candidate[2] <= 7 or _RANK_OF[candidate[1][0]] != low_rank
         ] or candidates
     length_first = profile.length_first_discards
     best = best_key = None
@@ -288,13 +287,11 @@ def decide_pick(profile: HeuristicProfile, observation: Observation) -> PickSour
     # top's rank, or the top's suit bit lies in a window of three set bits
     ranks = suits = 0
     for card in observation.own_hand:
-        code = CARD_CODE[card]
-        ranks += _RANK_WEIGHT[code]
-        suits += _SUIT_WEIGHT[code]
-    code = CARD_CODE[top]
-    if ranks & 7 * _RANK_WEIGHT[code]:
+        ranks += _RANK_WEIGHT[card]
+        suits += _SUIT_WEIGHT[card]
+    if ranks & 7 * _RANK_WEIGHT[top]:
         return PickSource.DISCARD_TOP
-    bit = _SUIT_WEIGHT[code]
+    bit = _SUIT_WEIGHT[top]
     suits |= bit
     if suits & suits >> 1 & suits >> 2 & (bit | bit >> 1 | bit >> 2):
         return PickSource.DISCARD_TOP

@@ -474,7 +474,6 @@ class RoundEnv:
         self.state = deal(
             self.num_players,
             self.rng,
-            validate=False,
             observers=[a.observe for a in self.opponents if hasattr(a, "observe")],
         )
         self.outcome = None

@@ -17,12 +17,12 @@ tree takes them once per decision; below the root each world takes its
 candidates from ``engine.legal_actions``. Rollouts play uniformly random
 legal actions to a terminal settlement in ``_playout_outcome``, a fast
 path tested against ``step``, and score positions by each player's coin
-change. The playout keeps each hand as sorted card codes with running
-weight sums and draws discards through the engine's count and pick
-(``draw_discard_index``, ``discard_at``). ``determinize`` keeps what does
-not depend on its draws in the belief's ``deal_plan``, so a decision works
-it out once, and samples opponent hands with ``rng.sample``'s draws
-without its overhead. Property tests hold the playout to ``step`` with the
+change. The playout plays the engine's sorted hands in place, keeps
+their running weight sums and draws discards through the engine's count
+and pick (``draw_discard_index``, ``discard_at``). ``determinize`` keeps
+what does not depend on its draws in the belief's ``deal_plan``, so a
+decision works it out once, and deals sorted opponent hands with
+``rng.sample``'s draws without its overhead. Property tests hold the playout to ``step`` with the
 same draws and the same final state, and the sampler to ``rng.sample``;
 golden digests pin determinized worlds and their playouts for fixed
 beliefs and seeds.
@@ -39,9 +39,6 @@ from functools import cached_property
 from typing import Optional
 
 from .engine import (
-    CARD_CODE,
-    CODE_CARD,
-    CODE_RANK,
     Action,
     Card,
     Discarded,
@@ -61,6 +58,7 @@ from .engine import (
     Reshuffled,
     RoundOutcome,
     RoundState,
+    _RANK_OF,
     _RANK_WEIGHT,
     _SINGLE_GROUPS,
     _SUIT_WEIGHT,
@@ -98,6 +96,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.determinizations < 1 or self.exploration_c <= 0:
             raise ValueError("iterations/determinizations must be >=1, exploration_c > 0")
+        limit = self.time_limit_ms
+        if (limit is not None and limit < 1) or self.max_rollout_depth < 0:
+            raise ValueError("time_limit_ms must be None or >= 1, max_rollout_depth >= 0")
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def determinize(
     """Sample a full hidden state consistent with the belief.
 
     Opponent hands get their known cards plus a uniform ``rng.sample`` of
-    the unseen pool, drawn by ``_sample_positions``; whatever remains
+    the unseen pool, drawn by ``_sample_positions``, sorted as the engine
+    keeps every hand; whatever remains
     becomes the stock, shuffled as ``rng.shuffle`` would. The belief's
     ``deal_plan`` holds the work that does not depend on the draws, so a
     decision does it once. The world is a ``RoundState`` at the
@@ -231,7 +233,7 @@ def determinize(
     for seat, known, need in seats:
         # sampling positions draws exactly as sampling the cards would
         picked = _sample_positions(len(stock), need, rng)
-        players[seat] = PlayerState(known + [stock[i] for i in picked], avg)
+        players[seat] = PlayerState(sorted(known + [stock[i] for i in picked]), avg)
         for i in sorted(picked, reverse=True):
             del stock[i]
     players[observation.seat] = PlayerState(
@@ -275,40 +277,29 @@ def _playout_outcome(
     ``rng.random() < 0.5``. Kept as one tight loop because search spends
     most of its time here; a property test holds it to that reference.
 
-    Each hand is played as an ascending card-code list with its running
-    value and ``_RANK_WEIGHT``/``_SUIT_WEIGHT`` sums, so a discard is
-    ``engine.draw_discard_index`` on the sums, a ``pop`` for a single and
-    ``engine.discard_at`` only for a set or run; a pick is an ``insort``.
-    The stock and the pile stay the state's own lists, so pile groups no
-    action touched are kept as they are. Every code carries the stamp of
-    its arrival in the hand, and the hands are written back in stamp
-    order, the order ``step``'s removes and appends leave, before the
-    function returns, so a settlement reads the final state.
+    Each hand is played in place, as the sorted list the engine keeps,
+    with its running value and ``_RANK_WEIGHT``/``_SUIT_WEIGHT`` sums, so a
+    discard is ``engine.draw_discard_index`` on the sums, a ``pop`` for a
+    single and ``engine.discard_at`` only for a set or run; a pick is an
+    ``insort``, as in ``engine.apply_pick``. The stock and the pile stay the
+    state's own lists, so pile groups no action touched are kept as they
+    are, and a settlement reads the final state.
     """
     outcome = round_termination(state)
     if outcome is not None:
         return outcome
     players = state.players
     n = len(players)
-    stamps = [0] * 52
-    clock = 0
-    hands: list[list[int]] = []
+    hands = [player.hand for player in players]
     values: list[int] = []
     rank_sums: list[int] = []
     suit_sums: list[int] = []
-    for player in players:
-        hand = []
+    for hand in hands:
         value = ranks = suits = 0
-        for card in player.hand:
-            code = CARD_CODE[card]
-            stamps[code] = clock
-            clock += 1
-            hand.append(code)
-            value += card[0]  # its rank
-            ranks += _RANK_WEIGHT[code]
-            suits += _SUIT_WEIGHT[code]
-        hand.sort()
-        hands.append(hand)
+        for card in hand:
+            value += _RANK_OF[card]
+            ranks += _RANK_WEIGHT[card]
+            suits += _SUIT_WEIGHT[card]
         values.append(value)
         rank_sums.append(ranks)
         suit_sums.append(suits)
@@ -330,19 +321,19 @@ def _playout_outcome(
             size = len(hand)
             index = draw_discard_index(size, ranks, suits, rng)
             if index < size:
-                code = hand.pop(index)
-                pile.append(_SINGLE_GROUPS[code])
-                value -= CODE_RANK[code]
-                ranks -= _RANK_WEIGHT[code]
-                suits -= _SUIT_WEIGHT[code]
+                card = hand.pop(index)
+                pile.append(_SINGLE_GROUPS[card])
+                value -= _RANK_OF[card]
+                ranks -= _RANK_WEIGHT[card]
+                suits -= _SUIT_WEIGHT[card]
             else:
-                group, codes = discard_at(hand, index)
+                group = discard_at(hand, index)
                 pile.append(group)
-                for code in codes:
-                    hand.remove(code)
-                    value -= CODE_RANK[code]
-                    ranks -= _RANK_WEIGHT[code]
-                    suits -= _SUIT_WEIGHT[code]
+                for card in group.cards:
+                    hand.remove(card)
+                    value -= _RANK_OF[card]
+                    ranks -= _RANK_WEIGHT[card]
+                    suits -= _SUIT_WEIGHT[card]
             phase = _PICK
             if not hand:
                 end = EndReason.EMPTY_HAND
@@ -367,13 +358,10 @@ def _playout_outcome(
                 if not stock:
                     _reshuffle_into_stock(state)
                     stock, pile = state.stock, state.discard_stack
-            code = CARD_CODE[card]
-            insort(hand, code)
-            stamps[code] = clock
-            clock += 1
-            values[seat] = value + card[0]  # its rank
-            rank_sums[seat] = ranks + _RANK_WEIGHT[code]
-            suit_sums[seat] = suits + _SUIT_WEIGHT[code]
+            insort(hand, card)
+            values[seat] = value + _RANK_OF[card]
+            rank_sums[seat] = ranks + _RANK_WEIGHT[card]
+            suit_sums[seat] = suits + _SUIT_WEIGHT[card]
             seat += 1
             if seat == n:
                 seat = 0
@@ -385,10 +373,6 @@ def _playout_outcome(
                 end = EndReason.TURN_LIMIT
                 break
 
-    stamp = stamps.__getitem__
-    for player, hand in zip(players, hands):
-        hand.sort(key=stamp)
-        player.hand[:] = map(CODE_CARD.__getitem__, hand)
     state.current_player, state.phase, state.turn_count = seat, phase, turn
     if end is None:
         return None

@@ -158,6 +158,24 @@ class TestBadInput:
         assert run_cli("play", "--seed", -1) == 2
         assert capsys.readouterr().err.startswith("dhumbal: ")
 
+    def test_train_with_five_opponents(self, tmp_path, capsys):
+        assert run_cli("train", "dqn", "--episodes", 2, "--opponents", *["random"] * 5,
+                       "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_play_without_rounds(self, capsys, rounds):
+        assert run_cli("play", "--rounds", rounds) == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_search_time_limit_below_one_ms(self, tmp_path, capsys, limit):
+        assert run_cli("tournament", "search", "--iterations", 5, "--time-limit-ms", limit,
+                       "--rounds", 1, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert not (tmp_path / "out").exists()
+
     def test_championship_config_with_another_lineup(self, tmp_path, capsys):
         checkpoint = tmp_path / "ppo.json"
         learning.save_learning_checkpoint(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -93,6 +95,55 @@ class TestCardValues:
 
     def test_hand_value_court(self):
         assert engine.hand_value(cards("KH", "QS", "JD", "10C", "9H")) == 55
+
+
+class TestCardFormat:
+    """A card is an int, its code ``(rank - 1) * 4 + suit``, and still reads,
+    prints, orders and pickles as the (rank, suit) pair it names."""
+
+    RANK_TEXT = {1: "A", 11: "J", 12: "Q", 13: "K"}
+    SUIT_TEXT = "♣♦♥♠"
+
+    @pytest.mark.parametrize("rank", range(1, 14))
+    @pytest.mark.parametrize("suit", range(4))
+    def test_fields_code_and_text(self, rank, suit):
+        card = Card(rank, suit)
+        assert (card.rank, card.suit) == (rank, suit)
+        assert int(card) == (rank - 1) * 4 + suit
+        assert str(card) == self.RANK_TEXT.get(rank, str(rank)) + self.SUIT_TEXT[suit]
+        assert repr(card) == f"Card(rank={rank}, suit={suit})"
+
+    def test_the_deck_holds_every_code_once(self):
+        assert sorted(map(int, engine.FULL_DECK)) == list(range(52))
+
+    def test_order_is_rank_then_suit(self):
+        deck = engine.FULL_DECK
+        assert sorted(deck) == sorted(deck, key=lambda card: (card.rank, card.suit))
+        for a in deck:
+            for b in deck:
+                assert (a < b) == ((a.rank, a.suit) < (b.rank, b.suit))
+
+    def test_equality_and_hash(self):
+        for card in engine.FULL_DECK:
+            twin = Card(card.rank, card.suit)
+            assert twin == card and hash(twin) == hash(card)
+        assert len(set(engine.FULL_DECK)) == 52
+        assert Card(5, Suit.HEARTS) != Card(5, Suit.SPADES)
+        assert Card(5, Suit.HEARTS) in {c("5H")}
+
+    @pytest.mark.parametrize("copier", [
+        *[lambda card, p=p: pickle.loads(pickle.dumps(card, p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+        copy.copy,
+        copy.deepcopy,
+    ])
+    def test_copies_round_trip(self, copier):
+        for card in engine.FULL_DECK:
+            twin = copier(card)
+            assert type(twin) is Card
+            assert twin == card and (twin.rank, twin.suit) == (card.rank, card.suit)
+        pile = [DiscardGroup(GroupKind.SET, tuple(cards("5H", "5S")))]
+        assert copier(pile) == pile
 
 
 class TestDeal:
@@ -191,10 +242,9 @@ class TestDiscardCount:
 
     @staticmethod
     def sums(hand):
-        codes = [engine.CARD_CODE[card] for card in hand]
         return (
-            sum(engine._RANK_WEIGHT[code] for code in codes),
-            sum(engine._SUIT_WEIGHT[code] for code in codes),
+            sum(engine._RANK_WEIGHT[card] for card in hand),
+            sum(engine._SUIT_WEIGHT[card] for card in hand),
         )
 
     @settings(max_examples=300, deadline=None)
@@ -220,11 +270,8 @@ class TestDiscardCount:
     @settings(max_examples=200, deadline=None)
     @given(patterned_hands())
     def test_every_index_picks_the_enumerated_group(self, hand):
-        codes = sorted(engine.CARD_CODE[card] for card in hand)
         for index, group in enumerate(engine.enumerate_legal_discards(hand)):
-            picked, picked_codes = engine.discard_at(codes, index)
-            assert picked == group
-            assert picked_codes == tuple(engine.CARD_CODE[card] for card in group.cards)
+            assert engine.discard_at(sorted(hand), index) == group
 
 
 class TestRandomDiscardGroup:

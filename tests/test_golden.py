@@ -21,7 +21,7 @@ from dhumbal.arena import TournamentConfig
 SEARCH = {"iterations": 20, "time_limit_ms": None}
 
 GOLDEN = {
-    "determinize-playouts": "ee5905b4b77263bd28ca0beb2b5002604847cd3cd34ba1af6cf1b8ad3caff904",
+    "determinize-playouts": "b48b669a7e2303266637c0e838bd9f6b3294208902847f526ad7be2280d0bce9",
     "rule-64": "9be73444e9dc7bcd071f3f45aee8af9d7f065f6cee4153a5aa53026ef5cbdc4a",
     "search-3": "00877a20ae14f7b449557735bc699562dc0686f01360a02242a2be9fa415ded9",
     "random-lineup": "17fbc81c61783be1f7d7aed1995046d620a578657ec815844b16aaef83b03b44",
@@ -78,9 +78,9 @@ def _learning(tmp_path) -> dict:
 
 def _world_doc(state) -> list:
     return [
-        [[list(card) for card in player.hand] for player in state.players],
-        [list(card) for card in state.stock],
-        [[int(group.kind), [list(card) for card in group.cards]]
+        [[[card.rank, card.suit] for card in player.hand] for player in state.players],
+        [[card.rank, card.suit] for card in state.stock],
+        [[int(group.kind), [[card.rank, card.suit] for card in group.cards]]
          for group in state.discard_stack],
         state.current_player,
         state.turn_count,

@@ -496,6 +496,24 @@ class TestRoundEnv:
         assert obs.phase is Phase.JHYAP_CHECK
         assert mask[ACTION_DECLINE]
 
+    def test_episode_checks_conservation(self, monkeypatch):
+        """Training deals validated rounds: every discard and pick of an
+        episode runs the card conservation check."""
+        calls = []
+        check = engine.RoundState._check_conservation
+
+        def counted(state):
+            calls.append(state.turn_count)
+            check(state)
+        monkeypatch.setattr(engine.RoundState, "_check_conservation", counted)
+        env = self.make_env()
+        _, mask, _ = env.reset()
+        assert env.state.validate and len(calls) == 1  # the deal's
+        done = False
+        while not done:
+            _, mask, _, done, _ = env.step(int(np.flatnonzero(mask)[0]))
+        assert len(calls) > 1
+
     def test_episode_runs_to_completion(self):
         env = self.make_env()
         state_vec, mask, _ = env.reset()

@@ -516,6 +516,55 @@ class TestSearchDecisions:
         assert action in (JhyapAction.DECLARE, JhyapAction.DECLINE)
 
 
+class TestSearchConfig:
+    @pytest.mark.parametrize("bad", [
+        {"time_limit_ms": 0}, {"time_limit_ms": -5}, {"max_rollout_depth": -1},
+        {"iterations": 0}, {"determinizations": 0}, {"exploration_c": 0.0},
+    ], ids=["no-time", "negative-time", "negative-depth", "no-iterations",
+            "no-worlds", "no-exploration"])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
+
+    def test_smallest_budgets_are_accepted(self):
+        cfg = SearchConfig(iterations=1, time_limit_ms=1, max_rollout_depth=0)
+        assert (cfg.time_limit_ms, cfg.max_rollout_depth) == (1, 0)
+
+
+def assert_hands_sorted(state):
+    for player in state.players:
+        assert player.hand == sorted(player.hand)
+
+
+class TestSortedHands:
+    """The engine keeps every hand sorted, and search's worlds and
+    playouts keep them so."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), num_players=st.integers(2, 5),
+           sample_at=st.integers(0, 80))
+    def test_after_deal_steps_determinize_and_playout(self, seed, num_players, sample_at):
+        rng = random.Random(seed)
+        trackers = [BeliefTracker(seat, num_players) for seat in range(num_players)]
+        state = engine.deal(num_players, rng, turn_limit=60,
+                            observers=[t.update for t in trackers])
+        assert_hands_sorted(state)
+        outcome = None
+        steps = 0
+        while outcome is None:
+            if steps == sample_at:
+                seat = state.current_player
+                obs = engine.observation_for(state, seat)
+                world = determinize(trackers[seat].snapshot(obs), obs, random.Random(seed))
+                assert_hands_sorted(world)
+                search._playout_outcome(world, world.rng, 200)
+                assert_hands_sorted(world)
+            actions = engine.legal_actions(state)
+            outcome = engine.step(state, actions[rng.randrange(len(actions))])
+            steps += 1
+            assert_hands_sorted(state)
+
+
 class TestSelect:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), batch_legality=st.booleans())
