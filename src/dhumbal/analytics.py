@@ -11,14 +11,18 @@ independent library implementation.
 
 Undefined statistics (zero variance, an agent that never declared) are
 reported as None, never silently as zero.
+
+Every CSV artifact is written by ``write_csv``, the one place that spells a
+cell, and read back through ``read_csv`` and ``cell_reader``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union, get_args, get_origin
 
 CI_Z = 1.96  # normal 95% multiplier used on the percentage scale
 
@@ -167,6 +171,41 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     if sxx == 0.0 or syy == 0.0:
         return None
     return sxy / math.sqrt(sxx * syy)
+
+
+# --- CSV artifacts -----------------------------------------------------------
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows in the one cell format of every artifact: None
+    is an empty cell, a bool is 0/1, a float is its ``repr`` (as ``csv``
+    writes it), and anything else goes as it is."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            [int(v) if v.__class__ is bool else v for v in row] for row in rows
+        )
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV file, as text cells."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ValueError(f"{path}: empty file, no header row")
+    return rows[0], rows[1:]
+
+
+def cell_reader(kind) -> Callable[[str], object]:
+    """The inverse of ``write_csv`` for a column of ``kind``: str, int,
+    float, bool, or Optional of one of them. An empty cell is None only in
+    an Optional column; anywhere else it raises ValueError."""
+    if get_origin(kind) is Union:
+        read = cell_reader(get_args(kind)[0])
+        return lambda text: None if text == "" else read(text)
+    if kind is bool:
+        return lambda text: bool(int(text))
+    return kind
 
 
 # --- tournament summaries ---------------------------------------------------

@@ -23,7 +23,6 @@ agent has it builds no events at all.
 
 from __future__ import annotations
 
-import csv
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -395,25 +394,40 @@ def championship(config: TournamentConfig, agents=None) -> TournamentResult:
 
 # --- records persistence ----------------------------------------------------
 
-_COMMON_COLUMNS = [
-    "round",
-    "winner_agent",
-    "end_reason",
-    "turns",
-    "jhyap_agent",
-    "jhyap_hand_value",
-    "jhyap_succeeded",
-]
-_AGENT_FIELDS = [
-    "name",
-    "seat",
-    "delta",
-    "cards",
-    "reward",
-    "final_hand",
-    "decisions",
-    "time_ms",
-]
+# (column, RoundRecord field, cell type) of the round columns, then of the
+# columns each agent repeats as a{index}_{column}. "names" and "seats" are not
+# RoundRecord fields: they are the names written with the records, and the
+# inverse of the record's seating.
+_ROUND_COLUMNS = (
+    ("round", "round_index", int),
+    ("winner_agent", "winner_agent", Optional[int]),
+    ("end_reason", "end_reason", str),
+    ("turns", "turns", int),
+    ("jhyap_agent", "jhyap_agent", Optional[int]),
+    ("jhyap_hand_value", "jhyap_hand_value", Optional[int]),
+    ("jhyap_succeeded", "jhyap_succeeded", Optional[bool]),
+)
+_AGENT_COLUMNS = (
+    ("name", "names", str),
+    ("seat", "seats", int),
+    ("delta", "coin_delta", int),
+    ("cards", "cards_discarded", int),
+    ("reward", "rewards", float),
+    ("final_hand", "final_hand_values", int),
+    ("decisions", "decisions", int),
+    ("time_ms", "decision_ms", float),
+)
+
+
+def _records_header(n: int) -> list[str]:
+    return [column for column, _, _ in _ROUND_COLUMNS] + [
+        f"a{index}_{column}" for index in range(n) for column, _, _ in _AGENT_COLUMNS
+    ]
+
+
+def _inverse(order: Sequence[int]) -> tuple[int, ...]:
+    """The inverse permutation: seat -> agent gives agent -> seat."""
+    return tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
 def records_to_csv(
@@ -421,99 +435,42 @@ def records_to_csv(
 ) -> None:
     """One row per round; `*_time_ms` columns are the only nondeterminism."""
     n = len(names)
-    header = list(_COMMON_COLUMNS)
-    for index in range(n):
-        header.extend(f"a{index}_{field}" for field in _AGENT_FIELDS)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for r in records:
-            seat_of_agent = {agent: seat for seat, agent in enumerate(r.seating)}
-            row = [
-                r.round_index,
-                "" if r.winner_agent is None else r.winner_agent,
-                r.end_reason,
-                r.turns,
-                "" if r.jhyap_agent is None else r.jhyap_agent,
-                "" if r.jhyap_hand_value is None else r.jhyap_hand_value,
-                "" if r.jhyap_succeeded is None else int(r.jhyap_succeeded),
-            ]
-            for index in range(n):
-                row.extend(
-                    [
-                        names[index],
-                        seat_of_agent[index],
-                        r.coin_delta[index],
-                        r.cards_discarded[index],
-                        repr(r.rewards[index]),
-                        r.final_hand_values[index],
-                        r.decisions[index],
-                        repr(r.decision_ms[index]),
-                    ]
-                )
-            writer.writerow(row)
+
+    def row(record: RoundRecord) -> list:
+        values = dict(vars(record), names=names, seats=_inverse(record.seating))
+        return [values[name] for _, name, _ in _ROUND_COLUMNS] + [
+            values[name][index] for index in range(n) for _, name, _ in _AGENT_COLUMNS
+        ]
+
+    analytics.write_csv(path, _records_header(n), map(row, records))
 
 
 def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[str]]:
-    """Inverse of records_to_csv."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header row")
-        n = (len(header) - len(_COMMON_COLUMNS)) // len(_AGENT_FIELDS)
-        records = []
-        names: list[str] = []
-        for row in reader:
-            base = dict(zip(_COMMON_COLUMNS, row))
-            seats = [0] * n
-            names_row = []
-            delta, cards, rewards, finals, decisions, times = [], [], [], [], [], []
-            for index in range(n):
-                offset = len(_COMMON_COLUMNS) + index * len(_AGENT_FIELDS)
-                chunk = dict(zip(_AGENT_FIELDS, row[offset : offset + len(_AGENT_FIELDS)]))
-                names_row.append(chunk["name"])
-                seats[index] = int(chunk["seat"])
-                delta.append(int(chunk["delta"]))
-                cards.append(int(chunk["cards"]))
-                rewards.append(float(chunk["reward"]))
-                finals.append(int(chunk["final_hand"]))
-                decisions.append(int(chunk["decisions"]))
-                times.append(float(chunk["time_ms"]))
-            names = names_row
-            seating = [0] * n
-            for agent, seat in enumerate(seats):
-                seating[seat] = agent
-            records.append(
-                RoundRecord(
-                    round_index=int(base["round"]),
-                    seating=tuple(seating),
-                    winner_agent=(
-                        None if base["winner_agent"] == "" else int(base["winner_agent"])
-                    ),
-                    end_reason=base["end_reason"],
-                    turns=int(base["turns"]),
-                    jhyap_agent=(
-                        None if base["jhyap_agent"] == "" else int(base["jhyap_agent"])
-                    ),
-                    jhyap_hand_value=(
-                        None
-                        if base["jhyap_hand_value"] == ""
-                        else int(base["jhyap_hand_value"])
-                    ),
-                    jhyap_succeeded=(
-                        None
-                        if base["jhyap_succeeded"] == ""
-                        else bool(int(base["jhyap_succeeded"]))
-                    ),
-                    coin_delta=tuple(delta),
-                    cards_discarded=tuple(cards),
-                    rewards=tuple(rewards),
-                    final_hand_values=tuple(finals),
-                    decisions=tuple(decisions),
-                    decision_ms=tuple(times),
-                )
-            )
+    """Inverse of records_to_csv; a file whose header or row widths differ
+    from what it writes raises ValueError."""
+    header, rows = analytics.read_csv(path)
+    width = len(_AGENT_COLUMNS)
+    n = (len(header) - len(_ROUND_COLUMNS)) // width
+    if header != _records_header(n):
+        raise ValueError(f"{path}: not the records header for {n} agents")
+    readers = [
+        analytics.cell_reader(kind)
+        for _, _, kind in _ROUND_COLUMNS + _AGENT_COLUMNS * n
+    ]
+    records = []
+    names: list[str] = []
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} cells, not {len(header)}")
+        cells = [read(cell) for read, cell in zip(readers, row)]
+        values = {name: cell for (_, name, _), cell in zip(_ROUND_COLUMNS, cells)}
+        for offset, (_, name, _) in enumerate(_AGENT_COLUMNS, len(_ROUND_COLUMNS)):
+            values[name] = tuple(cells[offset::width])
+        names, seats = list(values.pop("names")), values.pop("seats")
+        if sorted(seats) != list(range(n)):
+            raise ValueError(f"{path}: line {line} seats {seats} are not a seating")
+        values["seating"] = _inverse(seats)
+        records.append(RoundRecord(**values))
     if not records:
         raise ValueError(f"{path}: no round records")
     return records, names

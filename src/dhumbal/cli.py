@@ -9,13 +9,12 @@ codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import analytics, arena, learning
 from .engine import (
@@ -241,64 +240,30 @@ def write_artifacts(result: arena.TournamentResult, out_dir: Path, title: str) -
 
 
 def write_comparisons_csv(comparisons, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["metric", "agent_a", "agent_b", "cohens_d", "t", "p", "n1", "n2",
-             "significant", "stars"]
-        )
-        for c in comparisons:
-            writer.writerow(
-                [
-                    c.metric, c.agent_a, c.agent_b,
-                    "" if c.cohens_d is None else repr(c.cohens_d),
-                    "" if c.t_stat is None else repr(c.t_stat),
-                    "" if c.p_value is None else repr(c.p_value),
-                    c.n1, c.n2,
-                    "" if c.significant is None else int(c.significant),
-                    c.stars,
-                ]
-            )
-
-
-SUMMARY_CSV_COLUMNS = [
-    "name", "rounds", "draws", "wins", "win_rate", "ci_low", "ci_high",
-    "economic", "jhyap_calls", "jhyap_successes", "jhyap_success_rate",
-    "cards_per_round", "avg_reward", "avg_turns", "avg_hand_value",
-    "avg_decision_ms", "risk_correlation",
-]
+    header = ["metric", "agent_a", "agent_b", "cohens_d", "t", "p", "n1", "n2",
+              "significant", "stars"]
+    analytics.write_csv(path, header, map(astuple, comparisons))
 
 
 def summary_to_csv(summary: analytics.MetricsSummary, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        for a in summary.agents:
-            row = [a.name, summary.rounds, summary.draws]
-            for column in SUMMARY_CSV_COLUMNS[3:]:
-                value = getattr(a, column)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+    """One row per agent: its AgentMetrics fields, with the round and draw
+    counts after the name."""
+    name, *metrics = [f.name for f in fields(analytics.AgentMetrics)]
+    analytics.write_csv(path, [name, "rounds", "draws", *metrics], (
+        [a.name, summary.rounds, summary.draws, *astuple(a)[1:]] for a in summary.agents
+    ))
 
 
 def summary_from_csv(path: Path) -> analytics.MetricsSummary:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        agents = []
-        rounds = draws = 0
-        for row in reader:
-            rounds = int(row["rounds"])
-            draws = int(row["draws"])
-            values = {}
-            for column in SUMMARY_CSV_COLUMNS[3:]:
-                raw = row[column]
-                if raw == "":
-                    values[column] = None
-                elif column in ("wins", "jhyap_calls", "jhyap_successes"):
-                    values[column] = int(raw)
-                else:
-                    values[column] = float(raw)
-            agents.append(analytics.AgentMetrics(name=row["name"], **values))
+    header, rows = analytics.read_csv(path)
+    kinds = dict(get_type_hints(analytics.AgentMetrics), rounds=int, draws=int)
+    readers = [analytics.cell_reader(kinds[column]) for column in header]
+    agents = []
+    rounds = draws = 0
+    for row in rows:
+        values = {column: read(cell) for column, read, cell in zip(header, readers, row)}
+        rounds, draws = values.pop("rounds"), values.pop("draws")
+        agents.append(analytics.AgentMetrics(**values))
     if not agents:
         raise DataError(f"{path}: empty summary")
     return analytics.MetricsSummary(rounds=rounds, draws=draws, agents=agents)

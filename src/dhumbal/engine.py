@@ -65,11 +65,14 @@ _SUIT_OF: tuple[int, ...] = tuple(code % 4 for code in range(52))
 class Card(int):
     """A playing card, an int equal to its code ``(rank - 1) * 4 + suit``.
     Int order is the canonical order: ascending rank, ties broken by suit
-    (Clubs < Diamonds < Hearts < Spades)."""
+    (Clubs < Diamonds < Hearts < Spades). A rank outside 1..13 or a suit
+    outside 0..3 raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, rank: int, suit: int) -> "Card":
+        if not (1 <= rank <= 13 and 0 <= suit <= 3):
+            raise ValueError(f"no card has rank {rank} and suit {suit}")
         return int.__new__(cls, (rank - 1) * 4 + suit)
 
     rank = property(_RANK_OF.__getitem__, doc="1..13; 1=Ace, 11=Jack, 12=Queen, 13=King")
@@ -556,7 +559,6 @@ def deal(
     coins: Optional[Sequence[int]] = None,
     turn_limit: int = 100,
     round_index: int = 0,
-    validate: bool = True,
     observers: Sequence[Callable[[PublicEvent], object]] = (),
 ) -> RoundState:
     """Shuffle, deal 5 cards per player, flip one card to start the pile.
@@ -587,11 +589,9 @@ def deal(
         rng,
         turn_limit=turn_limit,
         round_index=round_index,
-        validate=validate,
         observers=observers,
     )
-    if validate:
-        state._check_conservation()
+    state._check_conservation()
     return state
 
 

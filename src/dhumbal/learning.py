@@ -29,17 +29,16 @@ the player's settlement coin delta when the round ends.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import neuralnet as nn
+from . import analytics, neuralnet as nn
 from .engine import (
     Action,
     Card,
@@ -111,7 +110,7 @@ def action_index(action: Action, hand: Sequence[Card]) -> Optional[int]:
     if action.kind is GroupKind.SET:
         held = sum(Card(first.rank, suit) in hand for suit in range(4))
         return ACTION_RANK_SET_BASE + first.rank - 1 if held == len(action.cards) else None
-    if Card(last.rank + 1, last.suit) in hand:
+    if last.rank < 13 and Card(last.rank + 1, last.suit) in hand:
         return None
     return ACTION_RUN_BASE + first.suit * 11 + first.rank - 1
 
@@ -721,13 +720,8 @@ def train(
 
 
 def write_curve_csv(path: Path, curve: Sequence[EpisodeStats]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode", "reward", "win", "length", "loss"])
-        for row in curve:
-            writer.writerow(
-                [row.episode, repr(row.reward), int(row.win), row.length, repr(row.loss)]
-            )
+    header = [f.name for f in fields(EpisodeStats)]
+    analytics.write_csv(path, header, map(astuple, curve))
 
 
 def evaluate_win_rate(

@@ -379,6 +379,17 @@ class TestRecordsCsv:
         with pytest.raises(ValueError):
             records_from_csv(path)
 
+    def test_row_of_another_width_rejected(self, tmp_path):
+        result = run_tournament(TournamentConfig(agents=["aggressive", "random"],
+                                                 rounds=3, seed=3))
+        path = tmp_path / "records.csv"
+        records_to_csv(result.records, result.names, path)
+        lines = path.read_text().splitlines()
+        lines[2] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3 has 24 cells, not 23"):
+            records_from_csv(path)
+
     def test_zero_byte_file_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(b"")

@@ -164,6 +164,29 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("dhumbal: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["report", "export"])
+    @pytest.mark.parametrize("fault", ["swapped-columns", "extra-columns", "shared-seat"])
+    def test_records_not_as_written(self, tmp_path, capsys, command, fault):
+        # each file differs from what records_to_csv writes, in header, width or seats
+        assert run_cli("tournament", "rule", "--rounds", 4, "--out", tmp_path) == 0
+        path = tmp_path / "records.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        delta, cards = rows[0].index("a0_delta"), rows[0].index("a0_cards")
+        seat, other_seat = rows[0].index("a0_seat"), rows[0].index("a1_seat")
+        for row in rows:
+            if fault == "swapped-columns":
+                row[delta], row[cards] = row[cards], row[delta]
+            elif fault == "extra-columns":
+                row.extend(["0", "0", "0"])
+            elif row is not rows[0]:
+                row[seat] = row[other_seat]
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        capsys.readouterr()
+        assert run_cli(command, "--records", path, "--out", tmp_path / "again") == 2
+        assert capsys.readouterr().err.startswith("dhumbal: cannot parse records")
+
     @pytest.mark.parametrize("rounds", [0, -3])
     def test_play_without_rounds(self, capsys, rounds):
         assert run_cli("play", "--rounds", rounds) == 2

@@ -79,7 +79,7 @@ def oracle_order(hand, pair) -> tuple:
         return (1, combo[0].rank, len(combo), tuple(card.suit for card in combo))
     suit, low = combo[0].suit, combo[0].rank
     first = low
-    while Card(first - 1, suit) in hand:
+    while first > 1 and Card(first - 1, suit) in hand:
         first -= 1
     return (2, suit, first, len(combo), low)
 
@@ -112,6 +112,11 @@ class TestCardFormat:
         assert int(card) == (rank - 1) * 4 + suit
         assert str(card) == self.RANK_TEXT.get(rank, str(rank)) + self.SUIT_TEXT[suit]
         assert repr(card) == f"Card(rank={rank}, suit={suit})"
+
+    @pytest.mark.parametrize("rank,suit", [(0, 0), (14, 0), (1, 4), (1, -1), (-3, 2)])
+    def test_out_of_range_rejected(self, rank, suit):
+        with pytest.raises(ValueError):
+            Card(rank, suit)
 
     def test_the_deck_holds_every_code_once(self):
         assert sorted(map(int, engine.FULL_DECK)) == list(range(52))

@@ -11,16 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from dhumbal import arena, engine, learning, search
+from dhumbal import arena, cli, engine, learning, search
 from dhumbal.arena import TournamentConfig
 
 SEARCH = {"iterations": 20, "time_limit_ms": None}
 
 GOLDEN = {
+    "artifacts": "0d67216ff066bc991c6eaf8b8a8281e472efbfc6556be01985bca20c4508d0ca",
+    "pooled": "a3d21e8acd567d123452beba3ed51fe93b49031d46de2d6a5825d92ded18e5e3",
     "determinize-playouts": "b48b669a7e2303266637c0e838bd9f6b3294208902847f526ad7be2280d0bce9",
     "rule-64": "9be73444e9dc7bcd071f3f45aee8af9d7f065f6cee4153a5aa53026ef5cbdc4a",
     "search-3": "00877a20ae14f7b449557735bc699562dc0686f01360a02242a2be9fa415ded9",
@@ -76,6 +78,53 @@ def _learning(tmp_path) -> dict:
     return doc
 
 
+def _pooled(tmp_path) -> dict:
+    """Records and balances of two lineups played by a pool of 2 workers."""
+    return {
+        "rule": _tournament_doc(TournamentConfig(
+            agents=["aggressive", "random", "balanced"], rounds=24, seed=5, workers=2)),
+        "search": _tournament_doc(TournamentConfig(
+            agents=[{"kind": "ismcts", "iterations": 10, "time_limit_ms": None},
+                    "aggressive"],
+            rounds=24, seed=5, workers=2)),
+    }
+
+
+def _artifacts(tmp_path) -> dict:
+    """The bytes of every CSV and JSON artifact: records.csv with fixed
+    decision times, what ``report`` and ``export`` derive from it, and the
+    curves of two short training runs. report.txt loses its first line,
+    which names the records path."""
+    result = arena.run_tournament(TournamentConfig(
+        agents=["random", "aggressive", "conservative"], rounds=48, seed=7,
+        turn_limit=20))
+    records = [
+        replace(r, decision_ms=tuple((r.round_index + 1) / (index + 3)
+                                     for index in range(len(r.decision_ms))))
+        for r in result.records
+    ]
+    path = tmp_path / "records.csv"
+    arena.records_to_csv(records, result.names, path)
+    report = tmp_path / "report"
+    commands = [
+        ["report", "--records", str(path), "--out", str(report)],
+        ["export", "--records", str(path), "--format", "csv",
+         "--out", str(tmp_path / "summary.csv")],
+        ["export", "--records", str(path), "--format", "json",
+         "--out", str(tmp_path / "summary.json")],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0
+    for kind in ("dqn", "ppo"):
+        learning.train(kind, episodes=12, seed=42, out_dir=tmp_path / kind)
+    files = [path, report / "comparisons.csv", report / "summary.json",
+             tmp_path / "summary.csv", tmp_path / "summary.json",
+             tmp_path / "dqn" / "dqn_curve.csv", tmp_path / "ppo" / "ppo_curve.csv"]
+    blobs = {str(f.relative_to(tmp_path)): f.read_bytes() for f in files}
+    blobs["report/report.txt"] = (report / "report.txt").read_bytes().split(b"\n", 1)[1]
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+
+
 def _world_doc(state) -> list:
     return [
         [[[card.rank, card.suit] for card in player.hand] for player in state.players],
@@ -127,6 +176,8 @@ def _determinize_playouts(tmp_path) -> list:
 
 
 CASES = {
+    "artifacts": _artifacts,
+    "pooled": _pooled,
     "determinize-playouts": _determinize_playouts,
     "rule-64": _rule_64,
     "search-3": _search_3,

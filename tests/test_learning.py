@@ -65,7 +65,7 @@ def spec_table(obs) -> dict:
     for suit in range(4):
         for start in range(1, 12):
             run = []
-            while engine.Card(start + len(run), suit) in hand:
+            while start + len(run) <= 13 and engine.Card(start + len(run), suit) in hand:
                 run.append(engine.Card(start + len(run), suit))
             if len(run) >= 3:
                 table[67 + suit * 11 + start - 1] = tuple(run)
@@ -131,7 +131,7 @@ class TestEncodeState:
     def test_always_finite_and_sized(self):
         rng = random.Random(0)
         for _ in range(50):
-            state = engine.deal(rng.randrange(2, 6), rng, validate=False)
+            state = engine.deal(rng.randrange(2, 6), rng)
             obs = engine.observation_for(state, 0)
             vec = encode_state(obs)
             assert vec.shape == (117,)
@@ -180,7 +180,7 @@ class TestActionTable:
     def test_reserved_indices_never_legal(self):
         rng = random.Random(1)
         for _ in range(40):
-            state = engine.deal(2, rng, validate=False)
+            state = engine.deal(2, rng)
             state.phase = rng.choice(list(Phase))
             obs = engine.observation_for(state, 0)
             mask = legal_action_mask(obs)
@@ -210,7 +210,7 @@ class TestActionTable:
     def test_every_legal_index_maps_to_engine_action(self):
         rng = random.Random(9)
         for _ in range(60):
-            state = engine.deal(rng.randrange(2, 6), rng, validate=False)
+            state = engine.deal(rng.randrange(2, 6), rng)
             state.phase = rng.choice(list(Phase))
             obs = engine.observation_for(state, 0)
             table = action_table(obs)

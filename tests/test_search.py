@@ -363,8 +363,7 @@ class TestRollout:
         cap=st.integers(0, 300),
     )
     def test_playout_matches_engine_step(self, seed, num_players, turn_limit, warmup, cap):
-        base = engine.deal(num_players, random.Random(seed), turn_limit=turn_limit,
-                           validate=False)
+        base = engine.deal(num_players, random.Random(seed), turn_limit=turn_limit)
         step_playout(base, random.Random(seed + 1), warmup)  # may end the round
         fast = base.clone(random.Random(seed))
         reference = base.clone(random.Random(seed))
@@ -384,7 +383,7 @@ class TestRollout:
     def test_zero_sum_over_playouts(self):
         rng = random.Random(4)
         for _ in range(200):
-            state = engine.deal(3, rng, validate=False)
+            state = engine.deal(3, rng)
             outcome = search._playout_outcome(state, rng, 10_000)
             assert outcome is not None
             assert sum(outcome.coin_delta) == 0
