@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full evaluation protocol end to end.
 
-Trains both learners, plays the three within-category tournaments and the
-cross-category championship, and drops every artifact under an output
+Trains both learners, then runs the three within-category tournaments and
+the cross-category championship as `dhumbal tournament` and `dhumbal
+championship` commands, and drops every artifact under an output
 directory. The default scale finishes on a laptop; --full switches to the
 publication-scale budgets (50k/10k training episodes, 1024 rounds
 everywhere, 1000-iteration searches) and can run for days on one core.
@@ -22,22 +23,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dhumbal import arena, learning
-from dhumbal.cli import write_artifacts
+from dhumbal import cli, learning
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results/reproduction"))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--full", action="store_true",
                         help="publication-scale budgets instead of desk scale")
     parser.add_argument("--workers", type=int, default=1)
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main() -> int:
-    args = parse_args()
+def main(argv=None) -> int:
+    args = parse_args(argv)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     scale = {
@@ -51,65 +51,40 @@ def main() -> int:
     (out / "scale.json").write_text(json.dumps(scale, indent=2))
     clock = time.perf_counter()
 
-    print(f"[1/7] training DQN for {scale['dqn_episodes']} episodes")
-    dqn = learning.train(
-        "dqn", episodes=scale["dqn_episodes"], seed=args.seed,
-        checkpoint_every=max(1, scale["dqn_episodes"] // 10),
-        out_dir=out / "train_dqn",
-    )
-    print(f"[2/7] training PPO for {scale['ppo_episodes']} episodes")
-    ppo = learning.train(
-        "ppo", episodes=scale["ppo_episodes"], seed=args.seed,
-        checkpoint_every=max(1, scale["ppo_episodes"] // 10),
-        out_dir=out / "train_ppo",
-    )
+    trained = {}
+    for step, kind in enumerate(("dqn", "ppo"), start=1):
+        episodes = scale[f"{kind}_episodes"]
+        print(f"[{step}/7] training {kind.upper()} for {episodes} episodes")
+        trained[kind] = learning.train(
+            kind, episodes=episodes, seed=args.seed,
+            checkpoint_every=max(1, episodes // 10), out_dir=out / f"train_{kind}",
+        ).checkpoint_paths
     print("[3/7] selecting best checkpoints on validation win rate")
-    dqn_best = learning.checkpoint_select(
-        dqn.checkpoint_paths, rounds=scale["validation_rounds"], seed=args.seed
-    )
-    ppo_best = learning.checkpoint_select(
-        ppo.checkpoint_paths, rounds=scale["validation_rounds"], seed=args.seed
-    )
-    print(f"      dqn: {dqn_best}\n      ppo: {ppo_best}")
-
-    search_spec = lambda kind: {
-        "kind": kind, "iterations": scale["iterations"],
-        "determinizations": 3, "time_limit_ms": None,
+    best = {
+        kind: learning.checkpoint_select(
+            paths, rounds=scale["validation_rounds"], seed=args.seed)
+        for kind, paths in trained.items()
     }
+    print(f"      dqn: {best['dqn']}\n      ppo: {best['ppo']}")
+
+    rounds, iterations = scale["rounds"], scale["iterations"]
     runs = {
-        "rule_based": arena.TournamentConfig(
-            agents=["aggressive", "conservative", "balanced", "opportunistic"],
-            rounds=scale["rounds"], seed=args.seed, workers=args.workers,
-        ),
-        "search_based": arena.TournamentConfig(
-            agents=[search_spec("mcts"), search_spec("ismcts")],
-            rounds=scale["search_rounds"], seed=args.seed, workers=args.workers,
-        ),
-        "learning_based": arena.TournamentConfig(
-            agents=[
-                {"kind": "ppo", "checkpoint": str(ppo_best)},
-                {"kind": "dqn", "checkpoint": str(dqn_best)},
-            ],
-            rounds=scale["rounds"], seed=args.seed, workers=args.workers,
-        ),
+        "rule_based": ["tournament", "rule", "--rounds", rounds],
+        "search_based": ["tournament", "search", "--rounds", scale["search_rounds"],
+                         "--iterations", iterations],
+        "learning_based": ["tournament", "learning", "--rounds", rounds,
+                           "--checkpoint", best["ppo"], best["dqn"]],
+        "championship": ["championship", "--rounds", rounds, "--iterations", iterations,
+                         "--checkpoint", best["ppo"]],
     }
-    for step, (name, config) in enumerate(runs.items(), start=4):
-        print(f"[{step}/7] {name} tournament ({config.rounds} rounds)")
-        result = arena.run_tournament(config)
-        write_artifacts(result, out / name, f"{name} tournament")
-
-    print("[7/7] cross-category championship")
-    champ = arena.TournamentConfig(
-        agents=[
-            "aggressive",
-            search_spec("ismcts"),
-            {"kind": "ppo", "checkpoint": str(ppo_best)},
-            "random",
-        ],
-        rounds=scale["rounds"], seed=args.seed, workers=args.workers,
-    )
-    result = arena.championship(champ)
-    write_artifacts(result, out / "championship", "Cross-category championship")
+    for step, (name, command) in enumerate(runs.items(), start=4):
+        argv = [str(arg) for arg in [
+            *command, "--seed", args.seed, "--workers", args.workers, "--out", out / name,
+        ]]
+        print(f"[{step}/7] {name}: dhumbal {' '.join(argv)}")
+        code = cli.main(argv)
+        if code != 0:
+            return code
     print(f"done in {time.perf_counter() - clock:.0f}s; artifacts under {out}/")
     return 0
 

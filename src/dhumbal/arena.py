@@ -82,6 +82,21 @@ def _reject_unknown_options(kind: str, options: dict, known) -> None:
         raise ValueError(f"unknown options for a {kind!r} agent: {unknown}")
 
 
+def _kind(spec: Union[str, dict]) -> tuple:
+    """An agent entry's kind and its options: a name has none, and a
+    "heuristic" entry takes its kind from "profile". An entry that is
+    neither a name nor a dict raises TypeError."""
+    if isinstance(spec, str):
+        return spec, {}
+    if not isinstance(spec, dict):
+        raise TypeError(f"an agent entry is a name or an object, not {spec!r}")
+    options = dict(spec)
+    kind = options.pop("kind", None)
+    if kind == "heuristic":
+        kind = options.pop("profile", None)
+    return kind, options
+
+
 def build_agent(spec: Union[str, dict]):
     """Construct an agent from a config entry.
 
@@ -90,12 +105,7 @@ def build_agent(spec: Union[str, dict]):
     or a required checkpoint path for "dqn"/"ppo". An unknown kind or
     option raises ValueError.
     """
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "heuristic":
-        kind = spec.pop("profile", None)
+    kind, spec = _kind(spec)
     if kind in PROFILES:
         _reject_unknown_options(kind, spec, HeuristicProfile.__dataclass_fields__)
         return HeuristicAgent(make_profile(kind, **spec))
@@ -135,6 +145,9 @@ class TournamentConfig:
     starting_coins: int = 10_000
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "seed", "turn_limit", "workers", "starting_coins"):
+            if type(getattr(self, name)) is not int:  # a bool is an int too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 2 <= len(self.agents) <= 5:
             raise ValueError("tournaments need 2..5 agents")
         if self.rounds < 1:
@@ -165,10 +178,8 @@ def agent_names(specs: Sequence[Union[str, dict]]) -> list[str]:
     """Display names per seat, disambiguating duplicates with #2, #3, ..."""
     bases = []
     for spec in specs:
-        if isinstance(spec, str):
-            bases.append(spec)
-        else:
-            bases.append(spec.get("name") or spec.get("profile") or spec["kind"])
+        kind, options = _kind(spec)
+        bases.append(options.get("name") or kind)
     names = []
     for index, base in enumerate(bases):
         if bases.count(base) > 1:
@@ -231,8 +242,6 @@ def run_round(
     cards_discarded = [0] * n_agents
     decisions = [0] * n_agents
     decision_ms = [0.0] * n_agents
-    jhyap_agent = None
-    jhyap_value = None
 
     for seat in range(num_players):
         agents[agent_of_seat[seat]].begin_round(seat, num_players)
@@ -254,9 +263,6 @@ def run_round(
                 rewards[agent_index] += 1.0
             elif isinstance(action, PickSource):
                 rewards[agent_index] += 1.0
-            elif action is JhyapAction.DECLARE:
-                jhyap_agent = agent_index
-                jhyap_value = obs.hand_value
         outcome = step(state, action)
 
     delta_by_agent = [0] * n_agents
@@ -266,6 +272,8 @@ def run_round(
         final_values[agent_of_seat[seat]] = hand_value(state.players[seat].hand)
     for index in range(n_agents):
         rewards[index] += delta_by_agent[index]
+    declarer = outcome.jhyap_declared_by  # a declaration ends the round on its hand
+    jhyap_agent = None if declarer is None else agent_of_seat[declarer]
     winner_agent = (
         agent_of_seat[outcome.winner] if outcome.winner is not None else None
     )
@@ -276,7 +284,7 @@ def run_round(
         end_reason=outcome.end_reason.value,
         turns=state.turn_count,
         jhyap_agent=jhyap_agent,
-        jhyap_hand_value=jhyap_value,
+        jhyap_hand_value=None if declarer is None else final_values[jhyap_agent],
         jhyap_succeeded=outcome.jhyap_succeeded,
         coin_delta=tuple(delta_by_agent),
         cards_discarded=tuple(cards_discarded),
@@ -375,11 +383,7 @@ CHAMPIONSHIP_LINEUP = ("aggressive", "ismcts", "ppo", "random")
 
 def check_championship_lineup(specs) -> None:
     """Raise ValueError unless the agent entries are the championship's four."""
-    kinds = []
-    for spec in specs:
-        spec = {"kind": spec} if isinstance(spec, str) else spec
-        kind = spec.get("profile") if spec.get("kind") == "heuristic" else spec.get("kind")
-        kinds.append(kind)
+    kinds = [_kind(spec)[0] for spec in specs]
     if sorted(map(str, kinds)) != sorted(CHAMPIONSHIP_LINEUP):
         raise ValueError(
             f"championship needs exactly {CHAMPIONSHIP_LINEUP}, got {kinds}"
@@ -446,8 +450,9 @@ def records_to_csv(
 
 
 def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[str]]:
-    """Inverse of records_to_csv; a file whose header or row widths differ
-    from what it writes raises ValueError."""
+    """Inverse of records_to_csv. A file the arena could not have written
+    raises ValueError: a header or row width other than its own, rows that
+    name other agents than the first, or a round that is not zero-sum."""
     header, rows = analytics.read_csv(path)
     width = len(_AGENT_COLUMNS)
     n = (len(header) - len(_ROUND_COLUMNS)) // width
@@ -466,9 +471,14 @@ def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[st
         values = {name: cell for (_, name, _), cell in zip(_ROUND_COLUMNS, cells)}
         for offset, (_, name, _) in enumerate(_AGENT_COLUMNS, len(_ROUND_COLUMNS)):
             values[name] = tuple(cells[offset::width])
-        names, seats = list(values.pop("names")), values.pop("seats")
+        row_names, seats = list(values.pop("names")), values.pop("seats")
+        if records and row_names != names:
+            raise ValueError(f"{path}: line {line} names {row_names}, not {names}")
         if sorted(seats) != list(range(n)):
             raise ValueError(f"{path}: line {line} seats {seats} are not a seating")
+        if sum(values["coin_delta"]) != 0:
+            raise ValueError(f"{path}: line {line} coin deltas do not sum to zero")
+        names = row_names
         values["seating"] = _inverse(seats)
         records.append(RoundRecord(**values))
     if not records:

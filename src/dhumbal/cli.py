@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
-from . import analytics, arena, learning
+from . import analytics, arena, heuristics, learning
 from .engine import (
     GameError,
     JHYAP_THRESHOLD,
@@ -60,22 +60,23 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="dhumbal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rounds_default=1024):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--rounds", type=int, default=rounds_default)
+    def common(p):
+        # a flag left out is None: the config file's value, else the default, holds
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--rounds", type=int, default=None)
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--seating", choices=["random", "fixed"], default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--iterations", type=int, default=None)
+        p.add_argument("--determinizations", type=int, default=3)
+        p.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
 
     t = sub.add_parser("tournament", help="within-category tournament")
     t.add_argument("kind", choices=["rule", "search", "learning", "custom"])
     common(t)
     t.add_argument("--agents", nargs="+", default=None,
-                   help="agent names for kind=custom (e.g. aggressive random)")
-    t.add_argument("--iterations", type=int, default=None)
-    t.add_argument("--determinizations", type=int, default=3)
-    t.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
+                   help="agent names (default: the config file's, else the kind's lineup)")
     t.add_argument("--checkpoint", nargs="+", type=Path, default=None,
                    help="checkpoints for kind=learning (ppo and dqn)")
 
@@ -83,9 +84,6 @@ def build_parser() -> CliParser:
     common(c)
     c.add_argument("--checkpoint", type=Path, default=None,
                    help="trained PPO checkpoint (required)")
-    c.add_argument("--iterations", type=int, default=None)
-    c.add_argument("--determinizations", type=int, default=3)
-    c.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
 
     tr = sub.add_parser("train", help="train a learning agent")
     tr.add_argument("kind", choices=["dqn", "ppo"])
@@ -123,7 +121,39 @@ def _search_spec(kind: str, args) -> dict:
     return spec
 
 
+def _lineup(args) -> list:
+    """The agent entries of a command run without --agents or a config
+    file's agents."""
+    if args.command == "championship":
+        entries = {
+            "ismcts": _search_spec("ismcts", args),
+            "ppo": {"kind": "ppo", "checkpoint": str(_require_checkpoint(args))},
+        }
+        return [entries.get(kind, kind) for kind in arena.CHAMPIONSHIP_LINEUP]
+    if args.kind == "rule":
+        return list(heuristics.PROFILES)
+    if args.kind == "search":
+        return [_search_spec(kind, args) for kind in arena.SEARCH_KINDS]
+    if args.kind == "custom":
+        raise DataError("tournament custom needs --agents or a config file with agents")
+    paths = args.checkpoint or []
+    if len(paths) != 2:
+        raise DataError(
+            "tournament learning needs exactly two --checkpoint files "
+            "(ppo and dqn, in any order)"
+        )
+    agents = []
+    for path in paths:
+        if not Path(path).exists():
+            raise DataError(f"checkpoint not found: {path}")
+        kind, _ = learning.load_learning_checkpoint(path)
+        agents.append({"kind": kind, "checkpoint": str(path)})
+    return agents
+
+
 def _tournament_config(args) -> arena.TournamentConfig:
+    """Each setting from the flag if it was given, else from the config
+    file, else the command's lineup or TournamentConfig's default."""
     doc = {}
     if args.config is not None:
         if not args.config.exists():
@@ -134,41 +164,11 @@ def _tournament_config(args) -> arena.TournamentConfig:
             raise DataError(f"config file {args.config} is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
-    if args.command == "championship":
-        agents = [
-            "aggressive",
-            _search_spec("ismcts", args),
-            {"kind": "ppo", "checkpoint": str(_require_checkpoint(args))},
-            "random",
-        ]
-    elif args.kind == "rule":
-        agents = ["aggressive", "conservative", "balanced", "opportunistic"]
-    elif args.kind == "search":
-        agents = [_search_spec("mcts", args), _search_spec("ismcts", args)]
-    elif args.kind == "learning":
-        paths = args.checkpoint or []
-        if len(paths) != 2:
-            raise DataError(
-                "tournament learning needs exactly two --checkpoint files "
-                "(ppo and dqn, in any order)"
-            )
-        agents = []
-        for path in paths:
-            if not Path(path).exists():
-                raise DataError(f"checkpoint not found: {path}")
-            kind, _ = learning.load_learning_checkpoint(path)
-            agents.append({"kind": kind, "checkpoint": str(path)})
-    else:
-        if not args.agents:
-            raise DataError("tournament custom needs --agents")
-        agents = list(args.agents)
-    doc.setdefault("agents", agents)
-    doc["rounds"] = args.rounds
-    doc["seed"] = args.seed
-    if args.seating is not None:
-        doc["seating"] = args.seating
-    if args.workers != 1:
-        doc["workers"] = args.workers
+    for key in ("agents", "rounds", "seed", "seating", "workers"):
+        if getattr(args, key, None) is not None:  # championship has no --agents
+            doc[key] = getattr(args, key)
+    if "agents" not in doc:
+        doc["agents"] = _lineup(args)
     try:
         config = arena.TournamentConfig.from_doc(doc)
         if args.command == "championship":

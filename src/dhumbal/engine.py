@@ -39,7 +39,7 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 
 class GameError(Exception):
@@ -244,10 +244,6 @@ def _patterns(cards: list[int]) -> list[tuple[GroupKind, list[int], list[tuple[i
     return found
 
 
-def _build_group(kind: GroupKind, cards: Iterable[Card]) -> DiscardGroup:
-    return DiscardGroup(kind, tuple(cards))
-
-
 def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
     """All legal discard groups in a hand, in a deterministic canonical order.
 
@@ -262,7 +258,7 @@ def enumerate_legal_discards(hand: Sequence[Card]) -> list[DiscardGroup]:
     groups = [_SINGLE_GROUPS[code] for code in cards]
     for kind, members, picks in _patterns(cards):
         for pick in picks:
-            groups.append(_build_group(kind, [members[p] for p in pick]))
+            groups.append(DiscardGroup(kind, tuple([members[p] for p in pick])))
     return groups
 
 
@@ -316,7 +312,7 @@ def discard_at(cards: list[Card], index: int) -> DiscardGroup:
     index -= n
     for kind, members, picks in _patterns(cards):
         if index < len(picks):
-            return _build_group(kind, [members[p] for p in picks[index]])
+            return DiscardGroup(kind, tuple([members[p] for p in picks[index]]))
         index -= len(picks)
     raise AssertionError("unreachable: group counts out of sync")
 
@@ -713,8 +709,8 @@ def _settle_showdown(state: RoundState, winner: int) -> tuple[int, ...]:
     return tuple(deltas)
 
 
-def resolve_jhyap(state: RoundState, declarer: Optional[int] = None) -> RoundOutcome:
-    """Showdown after a declaration.
+def resolve_jhyap(state: RoundState) -> RoundOutcome:
+    """Showdown after the mover's declaration.
 
     The declarer wins only with the uniquely lowest hand value; every loser
     then pays their capped hand value. Otherwise the winner is the first
@@ -722,10 +718,9 @@ def resolve_jhyap(state: RoundState, declarer: Optional[int] = None) -> RoundOut
     value, and the declarer alone pays the sum of all players' capped hand
     values (the winner's and their own included).
     """
-    if declarer is None:
-        declarer = state.current_player
-    if state.phase is not _JHYAP_CHECK or declarer != state.current_player:
+    if state.phase is not _JHYAP_CHECK:
         raise IllegalActionError("Jhyap may only be declared at the start of one's turn")
+    declarer = state.current_player
     values = [hand_value(p.hand) for p in state.players]
     if values[declarer] > JHYAP_THRESHOLD:
         raise IllegalActionError(

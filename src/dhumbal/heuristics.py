@@ -45,7 +45,6 @@ from .engine import (
     _RANK_WEIGHT,
     _SINGLE_GROUPS,
     _SUIT_WEIGHT,
-    _build_group,
     _patterns,
     hand_value,
 )
@@ -250,7 +249,7 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
         if best_key is None or key > best_key:  # the first maximum, as max keeps
             best, best_key = candidate, key
     kind, picked, _ = best
-    return _SINGLE_GROUPS[picked[0]] if kind is _SINGLE else _build_group(kind, picked)
+    return _SINGLE_GROUPS[picked[0]] if kind is _SINGLE else DiscardGroup(kind, tuple(picked))
 
 
 def completes_combination(hand, card: Card) -> bool:

@@ -56,6 +56,7 @@ from .engine import (
     observation_for,
     step,
 )
+from .heuristics import PROFILES, HeuristicAgent
 
 STATE_DIM = 117
 NUM_ACTIONS = 128
@@ -563,14 +564,7 @@ def convergence_check(
 
 
 def default_opponents():
-    from .heuristics import HeuristicAgent
-
-    return [
-        HeuristicAgent("aggressive"),
-        HeuristicAgent("conservative"),
-        HeuristicAgent("balanced"),
-        HeuristicAgent("opportunistic"),
-    ]
+    return [HeuristicAgent(name) for name in PROFILES]
 
 
 def save_learning_checkpoint(kind: str, core, path: Path, episode: int) -> None:

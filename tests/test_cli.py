@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dhumbal import analytics, arena, cli, learning
+from dhumbal import analytics, arena, cli, heuristics, learning
 from dhumbal.search import SearchAgent, SearchConfig
 
 
@@ -106,24 +108,141 @@ class TestTournamentCommand:
         assert excinfo.value.code == 1
 
 
+class TestConfigPrecedence:
+    """A flag that was given, then the config file's value, then the
+    command's lineup or TournamentConfig's default."""
+
+    def run(self, tmp_path, doc, *argv) -> tuple[int, dict]:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--config", path, "--out", out)
+        summary = out / "summary.json"
+        return code, json.loads(summary.read_text())["config"] if summary.exists() else {}
+
+    def test_file_values_hold_without_flags(self, tmp_path):
+        code, config = self.run(tmp_path, {"rounds": 3, "seed": 7}, "tournament", "rule")
+        assert code == 0
+        assert (config["rounds"], config["seed"]) == (3, 7)
+        assert config["agents"] == list(heuristics.PROFILES)
+
+    def test_given_workers_flag_beats_file(self, tmp_path):
+        code, config = self.run(tmp_path, {"agents": ["random", "random"], "workers": 2},
+                                "tournament", "custom", "--rounds", 2, "--workers", 1)
+        assert code == 0
+        assert config["workers"] == 1
+
+    def test_agents_flag_beats_file(self, tmp_path):
+        code, config = self.run(tmp_path, {"agents": ["aggressive", "aggressive"]},
+                                "tournament", "custom", "--rounds", 2,
+                                "--agents", "random", "balanced")
+        assert code == 0
+        assert config["agents"] == ["random", "balanced"]
+
+    def test_custom_reads_agents_from_file(self, tmp_path):
+        code, config = self.run(tmp_path, {"agents": ["random", "balanced"], "rounds": 2},
+                                "tournament", "custom")
+        assert code == 0
+        assert config["agents"] == ["random", "balanced"]
+
+    def test_championship_entries_neither_name_nor_object(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ppo.json"
+        learning.save_learning_checkpoint(
+            "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=3), checkpoint, 1)
+        code, _ = self.run(tmp_path, {"agents": [1, 2, 3, 4]}, "championship",
+                           "--rounds", 2, "--checkpoint", checkpoint)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("dhumbal: bad tournament config")
+        assert not (tmp_path / "out").exists()
+
+    def test_echo_without_config_is_the_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("tournament", "rule", "--rounds", 2, "--out", out) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config == arena.TournamentConfig(list(heuristics.PROFILES), rounds=2).to_doc()
+
+
+class TestReproduceScript:
+    """The reproduce script trains, selects checkpoints and runs the four
+    CLI commands at its scale."""
+
+    def load(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiments.py"
+        spec = importlib.util.spec_from_file_location("reproduce_experiments", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def record(self, monkeypatch, tmp_path, exit_code=0) -> list:
+        commands = []
+
+        def train(kind, **kwargs):
+            return SimpleNamespace(checkpoint_paths=[tmp_path / f"{kind}_{i}.json"
+                                                     for i in range(2)])
+
+        def checkpoint_select(paths, **kwargs):
+            return paths[-1]
+
+        def main(argv):
+            commands.append(argv)
+            return exit_code
+
+        monkeypatch.setattr(learning, "train", train)
+        monkeypatch.setattr(learning, "checkpoint_select", checkpoint_select)
+        monkeypatch.setattr(cli, "main", main)
+        return commands
+
+    def test_runs_the_four_commands(self, tmp_path, monkeypatch):
+        commands = self.record(monkeypatch, tmp_path)
+        out = tmp_path / "run"
+        assert self.load().main(["--out", str(out), "--seed", "5", "--workers", "2"]) == 0
+        ppo, dqn = str(tmp_path / "ppo_1.json"), str(tmp_path / "dqn_1.json")
+        tail = ["--seed", "5", "--workers", "2", "--out"]
+        assert commands == [
+            ["tournament", "rule", "--rounds", "256", *tail, str(out / "rule_based")],
+            ["tournament", "search", "--rounds", "128", "--iterations", "200",
+             *tail, str(out / "search_based")],
+            ["tournament", "learning", "--rounds", "256", "--checkpoint", ppo, dqn,
+             *tail, str(out / "learning_based")],
+            ["championship", "--rounds", "256", "--iterations", "200",
+             "--checkpoint", ppo, *tail, str(out / "championship")],
+        ]
+
+    def test_stops_at_a_failed_command(self, tmp_path, monkeypatch):
+        commands = self.record(monkeypatch, tmp_path, exit_code=2)
+        assert self.load().main(["--out", str(tmp_path / "run")]) == 2
+        assert len(commands) == 1
+
+
 class TestBadInput:
     """Bad input ends in exit code 2 with a message, not a traceback."""
 
-    @pytest.mark.parametrize("config", [
-        '{"agents": [{"kind": "ismcts", "bogus": 1}, "random"]}',
-        '{"agents": [{"kind": "ismcts", "iterations": "many"}, "random"]}',
-        '{"agents": ["random", "random"], "bogus": 1}',
-        '{"agents": ["random", "random"], "turn_limit": 0}',
-        '{"agents": ["random", "random"]',
-        '{"agents": ["random", "random"], "count_orbits": true}',
+    @pytest.mark.parametrize("config, message", [
+        ('{"agents": [{"kind": "ismcts", "bogus": 1}, "random"]}', "bogus"),
+        ('{"agents": [{"kind": "ismcts", "iterations": "many"}, "random"]}',
+         "bad agent entry"),
+        ('{"agents": ["random", "random"], "bogus": 1}', "bogus"),
+        ('{"agents": ["random", "random"], "turn_limit": 0}', "turn_limit"),
+        ('{"agents": ["random", "random"]', "not JSON"),
+        ('{"agents": ["random", "random"], "count_orbits": true}', "count_orbits"),
+        ('{"agents": ["random", "random"], "workers": 2.5}', "workers"),
+        ('{"agents": ["random", "random"], "rounds": true}', "rounds"),
+        ('{"agents": ["random", "random"], "seed": "7"}', "seed"),
+        ('{"agents": ["random", "random"], "turn_limit": 50.0}', "turn_limit"),
+        ('{"agents": ["random", "random"], "starting_coins": "10000"}', "starting_coins"),
     ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
-            "count-orbits"])
-    def test_bad_config(self, tmp_path, capsys, config):
+            "count-orbits", "float-workers", "bool-rounds", "str-seed", "float-turn-limit",
+            "str-starting-coins"])
+    def test_bad_config(self, tmp_path, capsys, config, message):
+        # no flag is given, since a flag would override the file's value; the
+        # message names what is wrong with the file
         path = tmp_path / "config.json"
         path.write_text(config)
-        assert run_cli("tournament", "custom", "--agents", "random", "random",
-                       "--rounds", 2, "--config", path, "--out", tmp_path) == 2
-        assert capsys.readouterr().err.startswith("dhumbal: ")
+        assert run_cli("tournament", "custom", "--config", path,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dhumbal: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ("custom", "--agents", "bogus", "random"),
@@ -165,9 +284,11 @@ class TestBadInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["report", "export"])
-    @pytest.mark.parametrize("fault", ["swapped-columns", "extra-columns", "shared-seat"])
+    @pytest.mark.parametrize("fault", ["swapped-columns", "extra-columns", "shared-seat",
+                                       "renamed-agent", "unbalanced-round"])
     def test_records_not_as_written(self, tmp_path, capsys, command, fault):
-        # each file differs from what records_to_csv writes, in header, width or seats
+        # each file differs from what records_to_csv writes, in header, width or
+        # seats, or holds rounds that the arena could not have played
         assert run_cli("tournament", "rule", "--rounds", 4, "--out", tmp_path) == 0
         path = tmp_path / "records.csv"
         with open(path, newline="") as handle:
@@ -179,8 +300,12 @@ class TestBadInput:
                 row[delta], row[cards] = row[cards], row[delta]
             elif fault == "extra-columns":
                 row.extend(["0", "0", "0"])
-            elif row is not rows[0]:
+            elif fault == "shared-seat" and row is not rows[0]:
                 row[seat] = row[other_seat]
+        if fault == "renamed-agent":
+            rows[-1][rows[0].index("a0_name")] = "renamed"
+        elif fault == "unbalanced-round":
+            rows[1][delta] = str(int(rows[1][delta]) + 100)
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows(rows)
         capsys.readouterr()

@@ -501,7 +501,7 @@ class TestResolveJhyap:
         state = self.make_state(
             cards("3H", "5C"), cards("7D", "8S"), cards("KH", "7C"), cards("KD", "KC", "4S")
         )
-        outcome = engine.resolve_jhyap(state, 0)
+        outcome = engine.resolve_jhyap(state)
         assert outcome.winner == 0
         assert outcome.coin_delta == (65, -15, -20, -30)
         assert outcome.jhyap_succeeded is True
@@ -510,7 +510,7 @@ class TestResolveJhyap:
     def test_tie_fails_declaration(self):
         # declarer 9, one opponent 9: opponent wins, declarer pays all hands
         state = self.make_state(cards("4H", "5C"), cards("4D", "5S"))
-        outcome = engine.resolve_jhyap(state, 0)
+        outcome = engine.resolve_jhyap(state)
         assert outcome.winner == 1
         assert outcome.jhyap_succeeded is False
         assert outcome.coin_delta == (-18, 18)
@@ -520,7 +520,7 @@ class TestResolveJhyap:
         # clockwise from the declarer's left
         state = self.make_state(cards("4H", "5C"), cards("4D", "5S"), cards("4C", "5H"))
         state.current_player = 1
-        outcome = engine.resolve_jhyap(state, 1)
+        outcome = engine.resolve_jhyap(state)
         assert outcome.winner == 2
         assert outcome.coin_delta == (0, -27, 27)
 
@@ -529,17 +529,17 @@ class TestResolveJhyap:
         big = cards("KH", "KD", "KC", "KS", "QH", "QD", "QC", "QS", "JH", "9D")
         assert engine.hand_value(big) == 120
         state = self.make_state(cards("AH", "2C"), big)
-        outcome = engine.resolve_jhyap(state, 0)
+        outcome = engine.resolve_jhyap(state)
         assert outcome.coin_delta == (100, -100)
 
     def test_declarer_over_threshold_rejected(self):
         state = self.make_state(cards("KH", "KD"), cards("AH", "2C"))
         with pytest.raises(IllegalActionError):
-            engine.resolve_jhyap(state, 0)
+            engine.resolve_jhyap(state)
 
     def test_zero_sum_always(self):
         state = self.make_state(cards("AH", "2C"), cards("AD", "2S"), cards("KH", "KD"))
-        outcome = engine.resolve_jhyap(state, 0)
+        outcome = engine.resolve_jhyap(state)
         assert sum(outcome.coin_delta) == 0
 
 

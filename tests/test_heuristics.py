@@ -300,7 +300,8 @@ class TestDecideDiscardMatchesReference:
             built.append(args)
             return original(*args)
 
-        monkeypatch.setattr(engine, "DiscardGroup", counting)
+        for module in (engine, heuristics):  # heuristics builds the group it picks
+            monkeypatch.setattr(module, "DiscardGroup", counting)
         hand = cards("5H", "6H", "7H", "8H", "5S", "5D", "KC")
         choice = decide_discard(AGGRESSIVE, obs_with_hand(hand, phase=Phase.DISCARD))
         assert choice.kind is GroupKind.SEQUENCE and len(built) == 1
