@@ -29,6 +29,7 @@ from .engine import (
     Reshuffled,
 )
 from .neuralnet import CheckpointError
+from .search import SearchConfig
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -48,6 +49,9 @@ class DataError(Exception):
 def default_out_dir() -> Path:
     return Path(os.environ.get("DHUMBAL_OUT", "results"))
 
+
+# the flags that set options of the agents in a command's own lineup
+AGENT_OPTIONS = ("iterations", "determinizations", "time_limit_ms", "checkpoint")
 
 TIME_LIMIT_HELP = (
     "wall-clock cut per search decision, on top of --iterations (default: "
@@ -69,7 +73,8 @@ def build_parser() -> CliParser:
         p.add_argument("--seating", choices=["random", "fixed"], default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--determinizations", type=int, default=3)
+        p.add_argument("--determinizations", type=int, default=None,
+                       help=f"default: {SearchConfig.determinizations}")
         p.add_argument("--time-limit-ms", type=int, default=None, help=TIME_LIMIT_HELP)
 
     t = sub.add_parser("tournament", help="within-category tournament")
@@ -114,7 +119,10 @@ def build_parser() -> CliParser:
 
 
 def _search_spec(kind: str, args) -> dict:
-    spec: dict = {"kind": kind, "determinizations": args.determinizations}
+    worlds = args.determinizations
+    if worlds is None:
+        worlds = SearchConfig.determinizations
+    spec: dict = {"kind": kind, "determinizations": worlds}
     if args.iterations is not None:
         spec["iterations"] = args.iterations
     spec["time_limit_ms"] = args.time_limit_ms
@@ -167,7 +175,8 @@ def _tournament_config(args) -> arena.TournamentConfig:
     for key in ("agents", "rounds", "seed", "seating", "workers"):
         if getattr(args, key, None) is not None:  # championship has no --agents
             doc[key] = getattr(args, key)
-    if "agents" not in doc:
+    own_lineup = "agents" not in doc
+    if own_lineup:
         doc["agents"] = _lineup(args)
     try:
         config = arena.TournamentConfig.from_doc(doc)
@@ -175,6 +184,12 @@ def _tournament_config(args) -> arena.TournamentConfig:
             arena.check_championship_lineup(config.agents)
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad tournament config: {exc}") from exc
+    for key in AGENT_OPTIONS:
+        if not own_lineup and getattr(args, key, None) is not None:
+            raise DataError(
+                f"--{key.replace('_', '-')} sets an option of the command's own lineup; "
+                "with agents from --agents or a config file, give it in the agent's entry"
+            )
     return config
 
 

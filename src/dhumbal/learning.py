@@ -22,6 +22,11 @@ it over the engine's list, so the mask is never wider than the legal set
 and legality is worked out in the engine alone; ``RoundEnv.step`` and
 ``RLAgent`` look the chosen index up in it.
 
+The encoding, the table and the mask work on card codes through tables
+built once from ``card_index`` (a card's bitmap slots, its single's index,
+the index of the run that starts at it); the card-level versions they must
+equal byte for byte are references in ``tests/test_learning.py``.
+
 Rewards: +1.0 per valid discard or pick, -10.0 for an invalid action
 (the environment then substitutes a uniformly random legal action), and
 the player's settlement coin delta when the round ends.
@@ -40,10 +45,10 @@ import numpy as np
 
 from . import analytics, neuralnet as nn
 from .engine import (
+    FULL_DECK,
     Action,
     Card,
     DiscardGroup,
-    GroupKind,
     JhyapAction,
     Observation,
     PickSource,
@@ -55,6 +60,12 @@ from .engine import (
     legal_actions,
     observation_for,
     step,
+    _DECLARE,
+    _RANK_OF,
+    _SET,
+    _SINGLE,
+    _STOCK,
+    _SUIT_OF,
 )
 from .heuristics import PROFILES, HeuristicAgent
 
@@ -73,26 +84,41 @@ REWARD_VALID = 1.0
 REWARD_INVALID = -10.0
 
 
+# Per-card-code tables, built once from ``card_index``: a card's slot in
+# the hand bitmap and in the pile bitmap, the index of its single discard
+# and the index of the run that starts at it.
+_HAND_SLOT: tuple[int, ...] = tuple(map(card_index, sorted(FULL_DECK)))
+_PILE_SLOT: tuple[int, ...] = tuple(52 + slot for slot in _HAND_SLOT)
+_SINGLE_INDEX: tuple[int, ...] = tuple(ACTION_SINGLE_BASE + slot for slot in _HAND_SLOT)
+_RUN_INDEX: tuple[int, ...] = tuple(
+    ACTION_RUN_BASE + suit * 11 + rank - 1 for rank, suit in zip(_RANK_OF, _SUIT_OF)
+)
+
+
 def encode_state(observation: Observation) -> np.ndarray:
     """117-entry feature vector; scalars clamped to [0, 1.5]."""
+    hand = observation.own_hand
+    pile = [code for group in observation.discard_pile_groups for code in group.cards]
     vec = np.zeros(STATE_DIM)
-    for card in observation.own_hand:
-        vec[card_index(card)] = 1.0
-    pile_cards = observation.discard_pile_cards
-    for card in pile_cards:
-        vec[52 + card_index(card)] = 1.0
+    # one write per slot: for the 15 or so slots of an observation this is
+    # faster than one assignment through a list of indices
+    for code in hand:
+        vec[_HAND_SLOT[code]] = 1.0
+    for code in pile:
+        vec[_PILE_SLOT[code]] = 1.0
     vec[104 + observation.seat % 2] = 1.0
+    vec[112 + observation.phase] = 1.0
     sizes = observation.opponent_hand_sizes
     scalars = (
         observation.hand_value / 65.0,
         observation.turn_count / 100.0,
         (sum(sizes) / len(sizes)) / 5.0 if sizes else 0.0,
         observation.own_coins / 10_000.0,
-        len(pile_cards) / 52.0,
+        len(pile) / 52.0,
         observation.round_index / 1024.0,
     )
-    vec[106:112] = np.clip(scalars, 0.0, 1.5)
-    vec[112 + int(observation.phase)] = 1.0
+    # np.clip's values, without its cost per call
+    vec[106:112] = [min(max(x, 0.0), 1.5) for x in scalars]
     return vec
 
 
@@ -101,19 +127,23 @@ def action_index(action: Action, hand: Sequence[Card]) -> Optional[int]:
     groups the table leaves out: a set that leaves a card of its rank in
     the hand, and a run that stops short of the longest run from its
     first card."""
-    if isinstance(action, JhyapAction):
-        return ACTION_DECLARE if action is JhyapAction.DECLARE else ACTION_DECLINE
-    if isinstance(action, PickSource):
-        return ACTION_PICK_STOCK if action is PickSource.STOCK else ACTION_PICK_TOP
-    first, last = action.cards[0], action.cards[-1]
-    if action.kind is GroupKind.SINGLE:
-        return ACTION_SINGLE_BASE + card_index(first)
-    if action.kind is GroupKind.SET:
-        held = sum(Card(first.rank, suit) in hand for suit in range(4))
-        return ACTION_RANK_SET_BASE + first.rank - 1 if held == len(action.cards) else None
-    if last.rank < 13 and Card(last.rank + 1, last.suit) in hand:
+    cls = action.__class__
+    if cls is JhyapAction:
+        return ACTION_DECLARE if action is _DECLARE else ACTION_DECLINE
+    if cls is PickSource:
+        return ACTION_PICK_STOCK if action is _STOCK else ACTION_PICK_TOP
+    kind, cards = action
+    first = cards[0]
+    if kind is _SINGLE:
+        return _SINGLE_INDEX[first]
+    if kind is _SET:
+        lowest = first - _SUIT_OF[first]  # the clubs card of its rank
+        held = sum(code in hand for code in range(lowest, lowest + 4))
+        return ACTION_RANK_SET_BASE + _RANK_OF[first] - 1 if held == len(cards) else None
+    after = cards[-1] + 4  # the next rank, same suit
+    if after < 52 and after in hand:
         return None
-    return ACTION_RUN_BASE + first.suit * 11 + first.rank - 1
+    return _RUN_INDEX[first]
 
 
 def action_table(observation: Observation) -> dict[int, Action]:
@@ -130,7 +160,8 @@ def action_table(observation: Observation) -> dict[int, Action]:
 
 def _mask(indices) -> np.ndarray:
     mask = np.zeros(NUM_ACTIONS, dtype=bool)
-    mask[list(indices)] = True
+    for index in indices:
+        mask[index] = True
     return mask
 
 

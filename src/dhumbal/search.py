@@ -94,9 +94,17 @@ class SearchConfig:
     time_limit_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("iterations", "determinizations", "max_rollout_depth"):
+            if type(getattr(self, name)) is not int:  # a bool is an int too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        limit = self.time_limit_ms
+        if limit is not None and type(limit) is not int:
+            raise ValueError(f"time_limit_ms must be None or an integer, got {limit!r}")
+        c = self.exploration_c
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"exploration_c must be a real number, got {c!r}")
         if self.iterations < 1 or self.determinizations < 1 or self.exploration_c <= 0:
             raise ValueError("iterations/determinizations must be >=1, exploration_c > 0")
-        limit = self.time_limit_ms
         if (limit is not None and limit < 1) or self.max_rollout_depth < 0:
             raise ValueError("time_limit_ms must be None or >= 1, max_rollout_depth >= 0")
 

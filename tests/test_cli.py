@@ -155,6 +155,13 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err.startswith("dhumbal: bad tournament config")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, worlds", [((), 3), (("--determinizations", 2), 2)])
+    def test_search_lineup_takes_determinizations(self, tmp_path, flags, worlds):
+        code, config = self.run(tmp_path, {"rounds": 1}, "tournament", "search",
+                                "--iterations", 2, *flags)
+        assert code == 0
+        assert [entry["determinizations"] for entry in config["agents"]] == [worlds] * 2
+
     def test_echo_without_config_is_the_defaults(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("tournament", "rule", "--rounds", 2, "--out", out) == 0
@@ -230,9 +237,15 @@ class TestBadInput:
         ('{"agents": ["random", "random"], "seed": "7"}', "seed"),
         ('{"agents": ["random", "random"], "turn_limit": 50.0}', "turn_limit"),
         ('{"agents": ["random", "random"], "starting_coins": "10000"}', "starting_coins"),
+        ('{"agents": [{"kind": "ismcts", "iterations": "many"}, "random"], "rounds": 1}',
+         "iterations must be an integer"),
+        ('{"agents": [{"kind": "ismcts", "iterations": 2.5}, "random"], "rounds": 1}',
+         "iterations must be an integer"),
+        ('{"agents": [{"kind": "mcts", "iterations": true}, "random"], "rounds": 1}',
+         "iterations must be an integer"),
     ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
             "count-orbits", "float-workers", "bool-rounds", "str-seed", "float-turn-limit",
-            "str-starting-coins"])
+            "str-starting-coins", "str-iterations", "float-iterations", "bool-iterations"])
     def test_bad_config(self, tmp_path, capsys, config, message):
         # no flag is given, since a flag would override the file's value; the
         # message names what is wrong with the file
@@ -242,6 +255,26 @@ class TestBadInput:
                        "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("dhumbal: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iterations", 5), ("--determinizations", 2), ("--time-limit-ms", 50),
+        ("--checkpoint", "ppo.json"),
+    ])
+    @pytest.mark.parametrize("source", ["agents-flag", "config-file"])
+    def test_agent_option_flag_without_lineup(self, tmp_path, capsys, flag, value, source):
+        # the flag sets options of the command's own lineup; agents given
+        # by name or by the file would run without it
+        if source == "agents-flag":
+            agents = ("--agents", "mcts", "ismcts")
+        else:
+            path = tmp_path / "config.json"
+            path.write_text('{"agents": ["mcts", "ismcts"]}')
+            agents = ("--config", path)
+        assert run_cli("tournament", "search", *agents, flag, value, "--rounds", 1,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dhumbal: {flag} ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -93,6 +93,119 @@ def learner_observations(draw):
     return obs
 
 
+def reference_encode_state(observation) -> np.ndarray:
+    """``encode_state`` card by card, as the module docstring lays out the
+    vector: the reference the table-driven encoding must equal byte for byte."""
+    vec = np.zeros(learning.STATE_DIM)
+    for card in observation.own_hand:
+        vec[engine.card_index(card)] = 1.0
+    pile_cards = observation.discard_pile_cards
+    for card in pile_cards:
+        vec[52 + engine.card_index(card)] = 1.0
+    vec[104 + observation.seat % 2] = 1.0
+    sizes = observation.opponent_hand_sizes
+    scalars = (
+        observation.hand_value / 65.0,
+        observation.turn_count / 100.0,
+        (sum(sizes) / len(sizes)) / 5.0 if sizes else 0.0,
+        observation.own_coins / 10_000.0,
+        len(pile_cards) / 52.0,
+        observation.round_index / 1024.0,
+    )
+    vec[106:112] = np.clip(scalars, 0.0, 1.5)
+    vec[112 + int(observation.phase)] = 1.0
+    return vec
+
+
+def reference_action_index(action, hand):
+    """``action_index`` on ranks and suits: the index of a legal action, or
+    None for a set that leaves a card of its rank in the hand and a run that
+    stops short of the longest run from its first card."""
+    if isinstance(action, engine.JhyapAction):
+        return ACTION_DECLARE if action is engine.JhyapAction.DECLARE else ACTION_DECLINE
+    if isinstance(action, PickSource):
+        return ACTION_PICK_STOCK if action is PickSource.STOCK else ACTION_PICK_TOP
+    first, last = action.cards[0], action.cards[-1]
+    if action.kind is engine.GroupKind.SINGLE:
+        return 2 + engine.card_index(first)
+    if action.kind is engine.GroupKind.SET:
+        held = sum(engine.Card(first.rank, suit) in hand for suit in range(4))
+        return 54 + first.rank - 1 if held == len(action.cards) else None
+    if last.rank < 13 and engine.Card(last.rank + 1, last.suit) in hand:
+        return None
+    return 67 + first.suit * 11 + first.rank - 1
+
+
+def reference_table_and_mask(obs) -> tuple[dict, np.ndarray]:
+    table = {}
+    for action in engine.legal_actions(obs):
+        index = reference_action_index(action, obs.own_hand)
+        if index is not None:
+            table[index] = action
+    mask = np.zeros(learning.NUM_ACTIONS, dtype=bool)
+    mask[list(table)] = True
+    return table, mask
+
+
+@st.composite
+def extreme_observations(draw):
+    """Observations past what a round reaches: piles of up to 40 cards in
+    groups of 1 to 3, coins from negative to above 15,000, turn counts,
+    opponent hand sizes and round indices that the encoding clamps, any
+    seat and phase, and no opponents at all."""
+    hand = draw(patterned_hands())
+    rest = [card for card in engine.FULL_DECK if card not in hand]
+    pile = draw(st.lists(st.sampled_from(rest), max_size=40, unique=True))
+    groups, start = [], 0
+    while start < len(pile):
+        size = draw(st.integers(1, 3))
+        group = tuple(sorted(pile[start:start + size]))
+        groups.append(engine.DiscardGroup(
+            engine.GroupKind.SINGLE if size == 1 else engine.GroupKind.SET, group))
+        start += size
+    return make_obs(
+        hand, groups, draw(st.lists(st.integers(0, 20), max_size=4)),
+        draw(st.integers(0, 40)),
+        phase=draw(st.sampled_from(list(Phase))),
+        seat=draw(st.integers(0, 4)),
+        turn_count=draw(st.integers(0, 300)),
+        own_coins=draw(st.integers(-20_000, 20_000)),
+        round_index=draw(st.integers(0, 3_000)),
+    )
+
+
+class TestTableDrivenObservations:
+    """The per-card tables give what the card-level references give: the
+    same bytes, the same table items in the same order, the same mask."""
+
+    def check(self, obs):
+        assert encode_state(obs).tobytes() == reference_encode_state(obs).tobytes()
+        table, mask = reference_table_and_mask(obs)
+        assert list(action_table(obs).items()) == list(table.items())
+        assert legal_action_mask(obs).tobytes() == mask.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(learner_observations())
+    def test_live_observations(self, obs):
+        self.check(obs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_observations())
+    def test_extreme_observations(self, obs):
+        self.check(obs)
+
+    def test_observations_of_played_rounds(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            state = engine.deal(rng.randrange(2, 6), rng)
+            outcome = None
+            while outcome is None:
+                for seat in range(len(state.players)):
+                    self.check(engine.observation_for(state, seat))
+                legal = engine.legal_actions(state)
+                outcome = engine.step(state, legal[rng.randrange(len(legal))])
+
+
 class TestEncodeState:
     def test_single_card_bitmap(self):
         obs = make_obs(cards("AC"), [], [5], 46)

@@ -525,6 +525,16 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(**bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", "many"), ("iterations", 2.5), ("iterations", True),
+        ("determinizations", 3.0), ("max_rollout_depth", None),
+        ("time_limit_ms", 5.5), ("time_limit_ms", False),
+        ("exploration_c", "1.4"), ("exploration_c", True),
+    ])
+    def test_rejects_field_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
     def test_smallest_budgets_are_accepted(self):
         cfg = SearchConfig(iterations=1, time_limit_ms=1, max_rollout_depth=0)
         assert (cfg.time_limit_ms, cfg.max_rollout_depth) == (1, 0)
