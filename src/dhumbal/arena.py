@@ -10,8 +10,9 @@ execution reproduces records bit-for-bit (timing aside) from (config,
 seed); the optional worker pool derives per-round seeds as seed + round
 index instead, which keeps rounds reproducible but fixes observed coin
 balances at their starting value. Both modes play a round through one
-``_play`` and keep the books in one loop, which asserts that every round is
-zero-sum and conserves the coins.
+``_play`` and keep the books in one loop, ``play_rounds``, which asserts
+that every round is zero-sum and conserves the coins; ``run_tournament``
+and the CLI's interactive table both play through it.
 
 An agent has a ``name``, ``begin_round(seat, num_players)`` and the three
 ``decide_*`` calls that ``engine.ask`` makes. ``observe(event)`` is
@@ -334,6 +335,18 @@ def _played(config: TournamentConfig, agents: Sequence, balances: list[int]):
         yield from pool.map(_parallel_round, range(config.rounds), chunksize=4)
 
 
+def play_rounds(config: TournamentConfig, agents: Sequence, balances: list[int]):
+    """Each round's record in round order, after its coin deltas are added
+    to ``balances``; asserts that every round is zero-sum and that the
+    coins are conserved."""
+    for record in _played(config, agents, balances):
+        assert sum(record.coin_delta) == 0
+        for index, delta in enumerate(record.coin_delta):
+            balances[index] += delta
+        assert sum(balances) == len(balances) * config.starting_coins
+        yield record
+
+
 def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
     """Play config.rounds rounds with persistent coin balances.
 
@@ -350,15 +363,8 @@ def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
     if agents is None:
         agents = [build_agent(spec) for spec in config.agents]
     names = agent_names(config.agents)
-    n = len(agents)
-    records: list[RoundRecord] = []
-    balances = [config.starting_coins] * n
-    for record in _played(config, agents, balances):
-        assert sum(record.coin_delta) == 0
-        for index in range(n):
-            balances[index] += record.coin_delta[index]
-        assert sum(balances) == n * config.starting_coins
-        records.append(record)
+    balances = [config.starting_coins] * len(agents)
+    records = list(play_rounds(config, agents, balances))
     summary = analytics.summarize(records, names)
     return TournamentResult(config, names, records, summary, balances)
 

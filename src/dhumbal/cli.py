@@ -3,7 +3,11 @@ interactive table.
 
 Artifacts land in --out (or $DHUMBAL_OUT, default ./results): records.csv
 (one row per round), summary.json, report.txt, and comparisons.csv. Exit
-codes: 0 success, 1 usage error, 2 data error.
+codes: 0 success, 1 usage error, 2 data error. A data error is a bad or
+missing config, agent entry, records file or checkpoint, a path that cannot
+be read or written, or an agent-option flag (--iterations,
+--determinizations, --time-limit-ms, --checkpoint) that no agent of the
+command's own lineup takes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from . import analytics, arena, heuristics, learning
 from .engine import (
@@ -133,9 +137,14 @@ def _lineup(args) -> list:
     """The agent entries of a command run without --agents or a config
     file's agents."""
     if args.command == "championship":
+        if args.checkpoint is None:
+            raise DataError(
+                "championship needs --checkpoint with a trained PPO model; "
+                "run `dhumbal train ppo` first"
+            )
         entries = {
             "ismcts": _search_spec("ismcts", args),
-            "ppo": {"kind": "ppo", "checkpoint": str(_require_checkpoint(args))},
+            "ppo": {"kind": "ppo", "checkpoint": str(args.checkpoint)},
         }
         return [entries.get(kind, kind) for kind in arena.CHAMPIONSHIP_LINEUP]
     if args.kind == "rule":
@@ -152,8 +161,6 @@ def _lineup(args) -> list:
         )
     agents = []
     for path in paths:
-        if not Path(path).exists():
-            raise DataError(f"checkpoint not found: {path}")
         kind, _ = learning.load_learning_checkpoint(path)
         agents.append({"kind": kind, "checkpoint": str(path)})
     return agents
@@ -164,52 +171,48 @@ def _tournament_config(args) -> arena.TournamentConfig:
     file, else the command's lineup or TournamentConfig's default."""
     doc = {}
     if args.config is not None:
-        if not args.config.exists():
-            raise DataError(f"config file not found: {args.config}")
         try:
             doc = json.loads(args.config.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise DataError(f"config file {args.config} is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
     for key in ("agents", "rounds", "seed", "seating", "workers"):
         if getattr(args, key, None) is not None:  # championship has no --agents
             doc[key] = getattr(args, key)
-    own_lineup = "agents" not in doc
-    if own_lineup:
-        doc["agents"] = _lineup(args)
+    lineup = []
+    if "agents" not in doc:
+        lineup = doc["agents"] = _lineup(args)
     try:
         config = arena.TournamentConfig.from_doc(doc)
         if args.command == "championship":
             arena.check_championship_lineup(config.agents)
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad tournament config: {exc}") from exc
-    for key in AGENT_OPTIONS:
-        if not own_lineup and getattr(args, key, None) is not None:
-            raise DataError(
-                f"--{key.replace('_', '-')} sets an option of the command's own lineup; "
-                "with agents from --agents or a config file, give it in the agent's entry"
-            )
+    _check_agent_options(args, lineup)
     return config
+
+
+def _check_agent_options(args, lineup) -> None:
+    """Each agent-option flag that was given must be an option of an entry
+    of the command's own lineup; agents from --agents or a config file of
+    a tournament take their options in their entries."""
+    taken = {key for entry in lineup if isinstance(entry, dict) for key in entry}
+    for key in AGENT_OPTIONS:
+        if getattr(args, key, None) is not None and key not in taken:
+            raise DataError(
+                f"--{key.replace('_', '-')} sets an option that no agent of this "
+                "command's own lineup takes; a tournament's agents from --agents "
+                "or a config file take options only in their config entries"
+            )
 
 
 def _build_agents(specs) -> list:
     """Agents for config entries; a bad entry or checkpoint is a data error."""
     try:
         return [arena.build_agent(spec) for spec in specs]
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError) as exc:
         raise DataError(f"bad agent entry: {exc}") from exc
-
-
-def _require_checkpoint(args) -> Path:
-    if args.checkpoint is None:
-        raise DataError(
-            "championship needs --checkpoint with a trained PPO model; "
-            "run `dhumbal train ppo` first"
-        )
-    if not args.checkpoint.exists():
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
-    return args.checkpoint
 
 
 def write_summary_json(
@@ -228,29 +231,24 @@ def write_summary_json(
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _report_text(summary: analytics.MetricsSummary, comparisons, title: str) -> str:
-    """The text of report.txt: the metric table, then the comparisons."""
-    report = analytics.report_text(summary, title)
-    return report + "\n" + analytics.comparisons_text(comparisons)
-
-
-def _write_reports(out_dir: Path, report: str, summary, comparisons, names,
-                   result: Optional[arena.TournamentResult] = None) -> None:
-    """report.txt, comparisons.csv and summary.json in ``out_dir``; a
-    tournament result adds its config and balances to the summary."""
+def _report(out_dir: Optional[Path], records, names, summary: analytics.MetricsSummary,
+            title: str, result: Optional[arena.TournamentResult] = None) -> None:
+    """Print the report: the metric table, then the comparisons. With an
+    ``out_dir``, also write it as report.txt, with comparisons.csv and
+    summary.json; a tournament's result adds records.csv, and its config
+    and final balances to the summary."""
+    comparisons = analytics.pairwise_comparisons(records, names)
+    table = analytics.report_text(summary, title)
+    report = table + "\n" + analytics.comparisons_text(comparisons)
+    print(report, end="" if result is None else "\n")  # a tournament's ends in a blank line
+    if out_dir is None:
+        return
     out_dir.mkdir(parents=True, exist_ok=True)
+    if result is not None:
+        arena.records_to_csv(records, names, out_dir / "records.csv")
     (out_dir / "report.txt").write_text(report)
     write_comparisons_csv(comparisons, out_dir / "comparisons.csv")
     write_summary_json(out_dir / "summary.json", summary, names, result)
-
-
-def write_artifacts(result: arena.TournamentResult, out_dir: Path, title: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    arena.records_to_csv(result.records, result.names, out_dir / "records.csv")
-    comparisons = analytics.pairwise_comparisons(result.records, result.names)
-    report = _report_text(result.summary, comparisons, title)
-    _write_reports(out_dir, report, result.summary, comparisons, result.names, result)
-    print(report)
     print(f"artifacts written to {out_dir}/")
 
 
@@ -269,39 +267,21 @@ def summary_to_csv(summary: analytics.MetricsSummary, path: Path) -> None:
     ))
 
 
-def summary_from_csv(path: Path) -> analytics.MetricsSummary:
-    header, rows = analytics.read_csv(path)
-    kinds = dict(get_type_hints(analytics.AgentMetrics), rounds=int, draws=int)
-    readers = [analytics.cell_reader(kinds[column]) for column in header]
-    agents = []
-    rounds = draws = 0
-    for row in rows:
-        values = {column: read(cell) for column, read, cell in zip(header, readers, row)}
-        rounds, draws = values.pop("rounds"), values.pop("draws")
-        agents.append(analytics.AgentMetrics(**values))
-    if not agents:
-        raise DataError(f"{path}: empty summary")
-    return analytics.MetricsSummary(rounds=rounds, draws=draws, agents=agents)
-
-
 def cmd_tournament(args) -> int:
     config = _tournament_config(args)
     agents = _build_agents(config.agents)  # a bad entry exits 2 before any round
     if config.workers > 1:
         agents = None  # each pool worker builds its own from the config
-    result = (
-        arena.championship(config, agents)
-        if args.command == "championship"
-        else arena.run_tournament(config, agents)
-    )
+    out_dir = args.out or default_out_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)  # and so does an unusable --out
+    result = arena.run_tournament(config, agents)
     title = (
         "Cross-category championship"
         if args.command == "championship"
         else f"Tournament ({args.kind})"
     )
-    out_dir = args.out or default_out_dir()
-    write_artifacts(result, out_dir, f"{title}, rounds={config.rounds}, "
-                                     f"seed={config.seed}")
+    _report(out_dir, result.records, result.names, result.summary,
+            f"{title}, rounds={config.rounds}, seed={config.seed}", result)
     return 0
 
 
@@ -345,8 +325,6 @@ def cmd_train(args) -> int:
 
 
 def _load_records(path: Path):
-    if not path.exists():
-        raise DataError(f"records file not found: {path}")
     try:
         return arena.records_from_csv(path)
     except (ValueError, KeyError, IndexError) as exc:
@@ -355,13 +333,8 @@ def _load_records(path: Path):
 
 def cmd_report(args) -> int:
     records, names = _load_records(args.records)
-    summary = analytics.summarize(records, names)
-    comparisons = analytics.pairwise_comparisons(records, names)
-    report = _report_text(summary, comparisons, f"Report over {args.records}")
-    print(report, end="")
-    if args.out is not None:
-        _write_reports(args.out, report, summary, comparisons, names)
-        print(f"artifacts written to {args.out}/")
+    _report(args.out, records, names, analytics.summarize(records, names),
+            f"Report over {args.records}")
     return 0
 
 
@@ -461,30 +434,21 @@ class HumanAgent:
 
 
 def cmd_play(args) -> int:
-    import random as _random
-
-    _check_seed(args.seed)
-    if args.rounds < 1:
-        raise DataError(f"--rounds must be >= 1, got {args.rounds}")
-    specs = list(args.agents)
-    if args.checkpoint is not None:
-        specs = [
-            {"kind": s, "checkpoint": str(args.checkpoint)} if s in ("dqn", "ppo") else s
-            for s in specs
-        ]
-    agents = [HumanAgent()] + _build_agents(specs)
-    if not 2 <= len(agents) <= 5:
-        raise DataError("play needs 1..4 AI opponents")
-    names = ["human"] + arena.agent_names(specs)
-    rng = _random.Random(args.seed)
-    balances = [10_000] * len(agents)
-    for round_index in range(args.rounds):
-        record = arena.run_round(
-            agents, list(range(len(agents))), rng,
-            balances=balances, round_index=round_index,
-        )
-        for index in range(len(agents)):
-            balances[index] += record.coin_delta[index]
+    specs = [
+        {"kind": s, "checkpoint": str(args.checkpoint)}
+        if args.checkpoint is not None and s in ("dqn", "ppo") else s
+        for s in args.agents
+    ]
+    try:  # the human sits at seat 0 of every round
+        config = arena.TournamentConfig(["human", *specs], rounds=args.rounds,
+                                        seed=args.seed, seating="fixed")
+    except ValueError as exc:
+        raise DataError(f"bad play settings: {exc}") from exc
+    _check_agent_options(args, specs)
+    agents = [HumanAgent(), *_build_agents(specs)]
+    names = arena.agent_names(config.agents)
+    balances = [config.starting_coins] * len(agents)
+    for record in arena.play_rounds(config, agents, balances):
         print("\n--- settlement ---")
         if record.winner_agent is None:
             print(f"round ends in a draw ({record.end_reason}); no transfers")
@@ -495,27 +459,21 @@ def cmd_play(args) -> int:
     return 0
 
 
+COMMANDS = {"tournament": cmd_tournament, "championship": cmd_tournament,
+            "train": cmd_train, "report": cmd_report, "export": cmd_export,
+            "play": cmd_play}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("tournament", "championship"):
-            return cmd_tournament(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "export":
-            return cmd_export(args)
-        if args.command == "play":
-            return cmd_play(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except DataError as exc:
+        return COMMANDS[args.command](args)
+    except (DataError, CheckpointError, GameError) as exc:
         print(f"dhumbal: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (CheckpointError, GameError) as exc:
-        print(f"dhumbal: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    except OSError as exc:  # a path that cannot be read or written
+        where = "" if exc.filename is None else f"cannot use {exc.filename}: "
+        print(f"dhumbal: {where}{exc.strerror or exc}", file=sys.stderr)
+    return DATA_EXIT
 
 
 if __name__ == "__main__":

@@ -623,7 +623,7 @@ def load_learning_checkpoint(path: Path):
         else:
             raise nn.CheckpointError(f"unknown checkpoint kind {kind!r}")
         return kind, nets
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise nn.CheckpointError(f"malformed learning checkpoint {path}: {exc!r}") from exc
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from bisect import insort
 from dataclasses import dataclass, replace
@@ -101,10 +102,12 @@ class SearchConfig:
         if limit is not None and type(limit) is not int:
             raise ValueError(f"time_limit_ms must be None or an integer, got {limit!r}")
         c = self.exploration_c
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValueError(f"exploration_c must be a real number, got {c!r}")
-        if self.iterations < 1 or self.determinizations < 1 or self.exploration_c <= 0:
-            raise ValueError("iterations/determinizations must be >=1, exploration_c > 0")
+        # NaN fails every comparison; an int past float range breaks the UCB score
+        if (isinstance(c, bool) or not isinstance(c, (int, float))
+                or not 0 < c <= sys.float_info.max):
+            raise ValueError(f"exploration_c must be a finite number > 0, got {c!r}")
+        if self.iterations < 1 or self.determinizations < 1:
+            raise ValueError("iterations and determinizations must be >= 1")
         if (limit is not None and limit < 1) or self.max_rollout_depth < 0:
             raise ValueError("time_limit_ms must be None or >= 1, max_rollout_depth >= 0")
 

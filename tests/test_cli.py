@@ -5,15 +5,31 @@ import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import pytest
 
-from dhumbal import analytics, arena, cli, heuristics, learning
+from dhumbal import analytics, arena, cli, engine, heuristics, learning
 from dhumbal.search import SearchAgent, SearchConfig
 
 
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def summary_from_csv(path: Path) -> analytics.MetricsSummary:
+    """Inverse of ``export --format csv``."""
+    header, rows = analytics.read_csv(path)
+    kinds = dict(get_type_hints(analytics.AgentMetrics), rounds=int, draws=int)
+    readers = [analytics.cell_reader(kinds[column]) for column in header]
+    agents = []
+    rounds = draws = 0
+    for row in rows:
+        values = {column: read(cell) for column, read, cell in zip(header, readers, row)}
+        rounds, draws = values.pop("rounds"), values.pop("draws")
+        agents.append(analytics.AgentMetrics(**values))
+    assert agents, f"{path}: empty summary"
+    return analytics.MetricsSummary(rounds=rounds, draws=draws, agents=agents)
 
 
 def strip_timing_columns(path: Path) -> list[list[str]]:
@@ -243,9 +259,14 @@ class TestBadInput:
          "iterations must be an integer"),
         ('{"agents": [{"kind": "mcts", "iterations": true}, "random"], "rounds": 1}',
          "iterations must be an integer"),
+        ('{"agents": [{"kind": "ismcts", "iterations": 2, "exploration_c": NaN}, "random"],'
+         ' "rounds": 1}', "exploration_c"),
+        ('{"agents": [{"kind": "ismcts", "iterations": 2, "exploration_c": Infinity},'
+         ' "random"], "rounds": 1}', "exploration_c"),
     ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
             "count-orbits", "float-workers", "bool-rounds", "str-seed", "float-turn-limit",
-            "str-starting-coins", "str-iterations", "float-iterations", "bool-iterations"])
+            "str-starting-coins", "str-iterations", "float-iterations", "bool-iterations",
+            "nan-exploration", "infinite-exploration"])
     def test_bad_config(self, tmp_path, capsys, config, message):
         # no flag is given, since a flag would override the file's value; the
         # message names what is wrong with the file
@@ -275,6 +296,26 @@ class TestBadInput:
                        "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"dhumbal: {flag} ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--iterations", "--determinizations", "--checkpoint"])
+    def test_agent_option_flag_no_entry_takes(self, tmp_path, capsys, flag):
+        # the command's own lineup takes no search flag when it has no search
+        # entry, and no --checkpoint when it has no learner entry
+        out = ("--rounds", 1, "--out", tmp_path / "out")
+        if flag == "--iterations":
+            argv = ("tournament", "rule", flag, 5, *out)
+        elif flag == "--determinizations":
+            checkpoints = [tmp_path / "ppo.json", tmp_path / "dqn.json"]
+            learning.save_learning_checkpoint(
+                "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=3), checkpoints[0], 1)
+            learning.save_learning_checkpoint(
+                "dqn", learning.DQNAgentCore(learning.DQNConfig(), seed=3), checkpoints[1], 1)
+            argv = ("tournament", "learning", "--checkpoint", *checkpoints, flag, 2, *out)
+        else:
+            argv = ("play", "--agents", "aggressive", flag, "x", "--rounds", 1)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: {flag} ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -369,6 +410,65 @@ class TestBadInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written exits 2 with a message that
+    names it, before any round is played."""
+
+    @pytest.fixture
+    def round_calls(self, monkeypatch):
+        calls = []
+        run_round = arena.run_round
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(arena, "run_round", spy)
+        return calls
+
+    @pytest.mark.parametrize("command", ["report", "export"])
+    def test_directory_as_records(self, tmp_path, capsys, command):
+        assert run_cli(command, "--records", tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {tmp_path}: ")
+
+    @pytest.mark.parametrize("name", ["", "nope.json"], ids=["directory", "missing"])
+    def test_unreadable_config(self, tmp_path, capsys, round_calls, name):
+        path = tmp_path / name
+        assert run_cli("tournament", "rule", "--config", path,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {path}: ")
+        assert not round_calls and not (tmp_path / "out").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys, round_calls):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"agents": ["random", "random"], "rounds": 1, "x": "\xff"}')
+        assert run_cli("tournament", "custom", "--config", path,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: config file {path} is not JSON")
+        assert not round_calls and not (tmp_path / "out").exists()
+
+    def test_out_is_a_file(self, tmp_path, capsys, round_calls):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run_cli("tournament", "rule", "--rounds", 2, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {out}: ")
+        assert not round_calls
+
+    def test_train_out_dir_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run_cli("train", "dqn", "--episodes", 2, "--opponents", "random",
+                       "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {out}: ")
+
+    def test_missing_checkpoint(self, tmp_path, capsys, round_calls):
+        path = tmp_path / "ppo.json"
+        assert run_cli("championship", "--rounds", 2, "--checkpoint", path,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {path}: ")
+        assert not round_calls and not (tmp_path / "out").exists()
+
+
 class TestChampionshipCommand:
     def test_requires_checkpoint(self, tmp_path):
         assert run_cli("championship", "--rounds", 2, "--out", tmp_path) == 2
@@ -446,7 +546,7 @@ class TestReportAndExport:
                        "--format", "csv", "--out", exported) == 0
         records, names = arena.records_from_csv(out / "records.csv")
         direct = analytics.summarize(records, names)
-        loaded = cli.summary_from_csv(exported)
+        loaded = summary_from_csv(exported)
         assert loaded == direct
 
     def test_export_json(self, tmp_path):
@@ -517,6 +617,53 @@ class TestPlayCommand:
                            "--rounds", 1) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_rounds_settle_as_the_arena_plays_them(self, monkeypatch, capsys):
+        # the human declines, discards the first listed group and draws from
+        # the stock; the settlements over three rounds are those of a fixed-
+        # seating tournament with a seat that plays the same way
+        answers = {"declare": "n", "discard": "0", "pick": "s"}
+        monkeypatch.setattr("builtins.input", lambda prompt="": answers[prompt.split()[0]])
+        assert run_cli("play", "--seed", 9, "--agents", "aggressive", "balanced",
+                       "--rounds", 3) == 0
+        lines = capsys.readouterr().out.splitlines()
+        played = []
+        for index, line in enumerate(lines):
+            if line == "--- settlement ---":
+                played.extend(lines[index:index + 5])
+
+        class Scripted:
+            name = "human"
+
+            def begin_round(self, seat, num_players):
+                pass
+
+            def decide_jhyap(self, observation, rng):
+                return False
+
+            def decide_discard(self, observation, rng):
+                return engine.enumerate_legal_discards(observation.own_hand)[0]
+
+            def decide_pick(self, observation, rng):
+                return engine.PickSource.STOCK
+
+        config = arena.TournamentConfig(["human", "aggressive", "balanced"], rounds=3,
+                                        seed=9, seating="fixed")
+        result = arena.run_tournament(
+            config, [Scripted(), arena.build_agent("aggressive"), arena.build_agent("balanced")])
+        expected = []
+        balances = [config.starting_coins] * 3
+        for record in result.records:
+            expected += ["--- settlement ---",
+                         f"round ends in a draw ({record.end_reason}); no transfers"
+                         if record.winner_agent is None else
+                         f"winner: {result.names[record.winner_agent]} ({record.end_reason})"]
+            for index, name in enumerate(result.names):
+                balances[index] += record.coin_delta[index]
+                expected.append(f"  {name:<14} {record.coin_delta[index]:+6d} -> "
+                                f"{balances[index]}")
+        assert played == expected
+        assert balances == result.final_balances
 
     def test_rl_opponent_needs_checkpoint(self, capsys):
         assert run_cli("play", "--agents", "ppo", "--rounds", 1) == 2

@@ -530,6 +530,8 @@ class TestSearchConfig:
         ("determinizations", 3.0), ("max_rollout_depth", None),
         ("time_limit_ms", 5.5), ("time_limit_ms", False),
         ("exploration_c", "1.4"), ("exploration_c", True),
+        ("exploration_c", math.nan), ("exploration_c", math.inf),
+        ("exploration_c", -math.inf), ("exploration_c", 10**400),
     ])
     def test_rejects_field_types(self, field, value):
         with pytest.raises(ValueError, match=field):
