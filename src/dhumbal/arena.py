@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -323,12 +322,15 @@ def _play(config: TournamentConfig, agents: Sequence, rng: random.Random,
 def _played(config: TournamentConfig, agents: Sequence, balances: list[int]):
     """Each round's record in round order. Sequential rounds share one
     stream and read the live ``balances``; pool rounds are each seeded
-    ``seed + round_index`` and see the starting coins."""
+    ``seed + round_index``, see the starting coins and play the agents
+    each worker built, so ``agents`` is unused there."""
     if config.workers == 1:
         rng = random.Random(config.seed)
         for round_index in range(config.rounds):
             yield _play(config, agents, rng, balances, round_index)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
     with ProcessPoolExecutor(
         max_workers=config.workers, initializer=_start_worker, initargs=(config,)
     ) as pool:
@@ -360,10 +362,10 @@ def run_tournament(config: TournamentConfig, agents=None) -> TournamentResult:
             f"agents were passed with workers={config.workers}: pool workers "
             "build their own agents from config.agents; use workers=1"
         )
-    if agents is None:
+    if agents is None and config.workers == 1:
         agents = [build_agent(spec) for spec in config.agents]
     names = agent_names(config.agents)
-    balances = [config.starting_coins] * len(agents)
+    balances = [config.starting_coins] * len(config.agents)
     records = list(play_rounds(config, agents, balances))
     summary = analytics.summarize(records, names)
     return TournamentResult(config, names, records, summary, balances)

@@ -41,8 +41,6 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import analytics, neuralnet as nn
 from .engine import (
     FULL_DECK,
@@ -68,6 +66,7 @@ from .engine import (
     _SUIT_OF,
 )
 from .heuristics import PROFILES, HeuristicAgent
+from .neuralnet import np  # numpy, loaded on first use
 
 STATE_DIM = 117
 NUM_ACTIONS = 128

@@ -4,14 +4,40 @@ and the JSON documents that learning checkpoints store networks in.
 Sized for small policy/value heads (117-128-64-128); float64 throughout
 so repeated runs stay bit-identical. Inputs may be single vectors or
 batches (rows); gradients are exact sums over the supplied batch.
+
+``np`` is numpy, loaded on first use: importing this module (or
+``learning``, which takes its ``np`` from here) only finds numpy, so the
+rule, search, report and play paths never load it. This is the one
+place in the package that imports numpy.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """The module ``name``, whose body runs on its first attribute access
+    (the ``importlib.util.LazyLoader`` recipe). A module that is already
+    imported is returned as it is; one that is not installed raises
+    ModuleNotFoundError here, as ``import`` does."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 ACTIVATIONS = ("relu", "linear", "softmax")
 
@@ -40,9 +66,6 @@ class DenseNet:
     @property
     def activations(self) -> list[str]:
         return [layer.activation for layer in self.layers]
-
-    def parameter_count(self) -> int:
-        return sum(layer.weights.size + layer.biases.size for layer in self.layers)
 
 
 def init_net(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import random
 from collections import Counter
 from dataclasses import replace
@@ -293,11 +294,20 @@ class TestRunTournament:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(arena, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         config = self.rule_config(rounds=4, workers=2)
         agents = [build_agent(spec) for spec in config.agents]
         with pytest.raises(ValueError, match="workers=2"):
             run_tournament(config, agents=agents)
+
+    def test_workers_leave_the_agents_to_the_pool(self, monkeypatch):
+        built = []
+        real = arena.build_agent
+        monkeypatch.setattr(arena, "build_agent", lambda spec: built.append(spec) or real(spec))
+        result = run_tournament(self.rule_config(rounds=4, workers=2))
+        assert built == []
+        assert len(result.records) == 4
+        assert len(result.final_balances) == 4
 
     def test_parallel_workers_smoke(self):
         config = self.rule_config(rounds=6, workers=2)

@@ -86,6 +86,16 @@ class TestTournamentCommand:
         records, _ = arena.records_from_csv(tmp_path / "records.csv")
         assert len(records) == 4
 
+    def test_workers_build_each_agent_once_in_this_process(self, tmp_path, monkeypatch):
+        # the validating build is the only one here; pool workers build
+        # their own, in their own processes
+        built = []
+        real = arena.build_agent
+        monkeypatch.setattr(arena, "build_agent", lambda spec: built.append(spec) or real(spec))
+        assert run_cli("tournament", "custom", "--agents", "random", "aggressive",
+                       "--rounds", 4, "--workers", 2, "--out", tmp_path) == 0
+        assert built == ["random", "aggressive"]
+
     def test_custom_agents(self, tmp_path):
         assert (
             run_cli(
