@@ -165,14 +165,6 @@ def classify_group(cards: Sequence[Card]) -> Optional[GroupKind]:
     return None
 
 
-def make_group(cards: Sequence[Card]) -> DiscardGroup:
-    """Build a canonical DiscardGroup from cards, validating legality."""
-    kind = classify_group(cards)
-    if kind is None:
-        raise IllegalActionError(f"not a legal discard group: {[str(c) for c in cards]}")
-    return DiscardGroup(kind, tuple(sorted(cards)))
-
-
 # Per-rank and per-suit weights per card. Summed over a hand, the rank
 # weights count each rank in a 3-bit field, so a field of 2 or more (bit 1 or
 # 2 set) is a set; the suit weights set bit ``rank - 1`` of a 15-bit field per
@@ -514,23 +506,6 @@ class RoundState:
     @property
     def num_players(self) -> int:
         return len(self.players)
-
-    def clone(self, rng: Optional[random.Random] = None) -> "RoundState":
-        """Cheap copy for simulations, at the same turn and phase; it has no
-        observers and runs no conservation checks."""
-        copy = RoundState(
-            [PlayerState(list(p.hand), p.coins) for p in self.players],
-            list(self.stock),
-            list(self.discard_stack),
-            rng if rng is not None else self.rng,
-            turn_limit=self.turn_limit,
-            round_index=self.round_index,
-            validate=False,
-        )
-        copy.current_player = self.current_player
-        copy.turn_count = self.turn_count
-        copy.phase = self.phase
-        return copy
 
     def all_cards(self) -> list[Card]:
         """Every card of the round: the hands in seat order, the stock, then

@@ -22,8 +22,8 @@ A card is its code, so decisions index the engine's per-card tables as
 they are. A discard walks the candidates of ``enumerate_legal_discards``
 in its order as (kind, cards, value) triples and builds only the chosen
 group; a pick tests whether the pile card completes a set or run from the
-hand's rank and suit weight sums. ``discard_score`` and
-``completes_combination`` are the card-level references.
+hand's rank and suit weight sums. The card-level references these must
+equal are in ``tests/test_heuristics.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Optional
 
 from .engine import (
-    Card,
     DiscardGroup,
     GameError,
     GroupKind,
@@ -46,7 +45,6 @@ from .engine import (
     _SINGLE_GROUPS,
     _SUIT_WEIGHT,
     _patterns,
-    hand_value,
 )
 
 
@@ -144,21 +142,11 @@ def opportunistic_adapt(
     return _AHEAD if own_coins >= avg_opponent_coins else _BEHIND
 
 
-def discard_score(
-    hand, group: DiscardGroup, profile: HeuristicProfile
-) -> float:
-    """Score one candidate discard for a hand; higher is better."""
-    return _score(
-        hand_value(hand), group.value(), len(group.cards), group.kind is _SEQUENCE, profile
-    )
-
-
 def _score(
     total: int, value: int, n: int, sequence: bool, profile: HeuristicProfile
 ) -> float:
     """The scoring rule for an ``n``-card discard worth ``value`` from a hand
-    worth ``total``: the one formula of ``discard_score`` and
-    ``decide_discard``."""
+    worth ``total``."""
     remaining = total - value
     improvement = (max(0.0, (total - remaining) / total) * 10.0) if total else 0.0
     score = (
@@ -191,32 +179,15 @@ def decide_jhyap(
     return value <= threshold
 
 
-def conservative_candidates(
-    hand, groups: list[DiscardGroup]
-) -> list[DiscardGroup]:
-    """Near the threshold, refuse to give up the lowest card unless the
-    discard itself lands the hand at 7 or below."""
-    total = hand_value(hand)
-    if total > 12:
-        return groups
-    low_rank = min(card.rank for card in hand)
-    kept = [
-        g
-        for g in groups
-        if total - g.value() <= 7 or all(card.rank != low_rank for card in g.cards)
-    ]
-    return kept or groups
-
-
 def decide_discard(profile: HeuristicProfile, observation: Observation) -> DiscardGroup:
     """Best-scoring legal discard; ties prefer more cards, then higher value,
     then canonical order.
 
-    The choice of ``max`` over ``conservative_candidates`` (for profiles
-    with ``selective_low_discards``) of ``enumerate_legal_discards``, made
-    on cards as codes: each candidate is a (kind, cards, value) triple, the
-    singles in card order and then each ``_patterns`` pick, and only the
-    chosen group is built."""
+    The choice of ``max`` over ``enumerate_legal_discards`` (for profiles
+    with ``selective_low_discards``, only the candidates that keep the
+    lowest card near the threshold), made on cards as codes: each candidate
+    is a (kind, cards, value) triple, the singles in card order and then
+    each ``_patterns`` pick, and only the chosen group is built."""
     if profile.adaptive:
         profile = profile.adapted[
             opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
@@ -231,8 +202,9 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
             picked = [members[p] for p in pick]
             candidates.append((kind, picked, sum(map(_RANK_OF.__getitem__, picked))))
     if profile.selective_low_discards and total <= 12:
-        # conservative_candidates: the hand ascends, so a candidate holds
-        # the hand's lowest rank iff its first card does
+        # near the threshold, give up the lowest rank only for a discard
+        # that lands the hand at 7 or below; the hand ascends, so a
+        # candidate holds the hand's lowest rank iff its first card does
         low_rank = _RANK_OF[hand[0]]
         candidates = [
             candidate
@@ -252,23 +224,6 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
     return _SINGLE_GROUPS[picked[0]] if kind is _SINGLE else DiscardGroup(kind, tuple(picked))
 
 
-def completes_combination(hand, card: Card) -> bool:
-    """Would picking ``card`` give the hand a playable set or run?"""
-    if any(other.rank == card.rank for other in hand):
-        return True
-    ranks = {other.rank for other in hand if other.suit == card.suit}
-    below = card.rank - 1
-    length = 1
-    while below in ranks:
-        length += 1
-        below -= 1
-    above = card.rank + 1
-    while above in ranks:
-        length += 1
-        above += 1
-    return length >= 3
-
-
 def decide_pick(profile: HeuristicProfile, observation: Observation) -> PickSource:
     """Take the visible pile card when it is cheap or completes a combination."""
     top = observation.discard_top
@@ -282,8 +237,9 @@ def decide_pick(profile: HeuristicProfile, observation: Observation) -> PickSour
         threshold = profile.secondary_pick_threshold
     if top.rank <= threshold:
         return PickSource.DISCARD_TOP
-    # completes_combination on the hand's weight sums: the hand holds the
-    # top's rank, or the top's suit bit lies in a window of three set bits
+    # whether the top completes a set or run, on the hand's weight sums: the
+    # hand holds the top's rank, or the top's suit bit lies in a window of
+    # three set bits
     ranks = suits = 0
     for card in observation.own_hand:
         ranks += _RANK_WEIGHT[card]

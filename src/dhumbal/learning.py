@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -171,30 +170,48 @@ def legal_action_mask(observation: Observation) -> np.ndarray:
 
 # --- replay machinery ----------------------------------------------------
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    next_mask: np.ndarray  # legality in next_state, for target maxes
-
-
 class ReplayBuffer:
-    """FIFO ring of transitions, capacity 2000 by default."""
+    """FIFO ring of transitions in preallocated row arrays, capacity 2000
+    by default. Once the ring is full, each push overwrites the oldest
+    row, and the oldest transition sits at the row the next push writes."""
 
     def __init__(self, capacity: int = 2000):
-        self.items: deque[Transition] = deque(maxlen=capacity)
+        # rows are read only once written, so the arrays start uninitialised
+        # and only the pages of written rows are ever touched
+        self.capacity = capacity
+        self.states = np.empty((capacity, STATE_DIM))
+        self.actions = np.empty(capacity, dtype=np.intp)
+        self.rewards = np.empty(capacity)
+        self.next_states = np.empty((capacity, STATE_DIM))
+        self.dones = np.empty(capacity)  # 1.0 where the round ended
+        self.next_masks = np.empty((capacity, NUM_ACTIONS), dtype=bool)  # for target maxes
+        self.size = 0
+        self.next_row = 0
 
-    def push(self, transition: Transition) -> None:
-        self.items.append(transition)
+    def push(self, state, action: int, reward: float, next_state, done: bool, next_mask) -> None:
+        row = self.next_row
+        self.states[row] = state
+        self.actions[row] = action
+        self.rewards[row] = reward
+        self.next_states[row] = next_state
+        self.dones[row] = done
+        self.next_masks[row] = next_mask
+        self.next_row = (row + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: random.Random) -> list[Transition]:
-        return rng.sample(list(self.items), batch_size)
+    def sample(self, batch_size: int, rng: random.Random):
+        """(states, actions, rewards, next_states, dones, next_masks) of
+        ``batch_size`` transitions drawn without replacement, in the order
+        that ``rng.sample`` draws them from the transitions oldest first."""
+        rows = np.array(rng.sample(range(self.size), batch_size))
+        if self.size == self.capacity:
+            rows += self.next_row
+            rows %= self.capacity
+        return (self.states[rows], self.actions[rows], self.rewards[rows],
+                self.next_states[rows], self.dones[rows], self.next_masks[rows])
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.size
 
 
 @dataclass
@@ -255,12 +272,6 @@ def dqn_select(
     return int(legal[int(np.argmax(q[legal]))])
 
 
-def _clone_net(net: nn.DenseNet) -> nn.DenseNet:
-    return nn.DenseNet(
-        [nn.Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in net.layers]
-    )
-
-
 class DQNAgentCore:
     """Online/target Q-networks plus optimizer and sync counter."""
 
@@ -269,7 +280,7 @@ class DQNAgentCore:
         init_rng = np.random.default_rng(seed)
         dims = (STATE_DIM, *cfg.hidden, NUM_ACTIONS)
         self.net = nn.init_net(dims, ("relu", "relu", "linear"), init_rng)
-        self.target_net = _clone_net(self.net)
+        self.target_net = self.net.copy()
         self.optimizer = nn.adam_init(self.net, lr=cfg.lr)
         self.train_steps = 0
 
@@ -278,13 +289,9 @@ class DQNAgentCore:
         cfg = self.cfg
         if len(buffer) < cfg.batch_size:
             return None
-        batch = buffer.sample(cfg.batch_size, rng)
-        states = np.stack([t.state for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        actions = np.array([t.action for t in batch])
-        rewards = np.array([t.reward for t in batch])
-        dones = np.array([t.done for t in batch], dtype=float)
-        next_masks = np.stack([t.next_mask for t in batch])
+        rows = np.arange(cfg.batch_size)
+        states, actions, rewards, next_states, dones, next_masks = buffer.sample(
+            cfg.batch_size, rng)
 
         next_q = nn.forward(self.target_net, next_states)
         next_q = np.where(next_masks, next_q, -np.inf)
@@ -293,16 +300,16 @@ class DQNAgentCore:
         targets = rewards + cfg.gamma * (1.0 - dones) * best_next
 
         q, cache = nn.forward_cache(self.net, states)
-        chosen = q[np.arange(len(batch)), actions]
+        chosen = q[rows, actions]
         errors = chosen - targets
         loss = float(np.mean(errors**2))
         grad_out = np.zeros_like(q)
-        grad_out[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
+        grad_out[rows, actions] = 2.0 * errors / cfg.batch_size
         grads = nn.backward(self.net, cache, grad_out)
         nn.adam_step(self.net, grads, self.optimizer)
         self.train_steps += 1
         if self.train_steps % cfg.target_sync_every == 0:
-            self.target_net = _clone_net(self.net)
+            self.target_net.parameters[:] = self.net.parameters
         return loss
 
 
@@ -672,9 +679,7 @@ def train(
             while not done:
                 action = dqn_select(core.net, state_vec, epsilon, mask, rng)
                 next_vec, next_mask, step_reward, done, _ = env.step(action)
-                buffer.push(
-                    Transition(state_vec, action, step_reward, next_vec, done, next_mask)
-                )
+                buffer.push(state_vec, action, step_reward, next_vec, done, next_mask)
                 loss = core.train_step(buffer, rng)
                 if loss is not None:
                     losses.append(loss)

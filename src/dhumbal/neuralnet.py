@@ -5,6 +5,24 @@ Sized for small policy/value heads (117-128-64-128); float64 throughout
 so repeated runs stay bit-identical. Inputs may be single vectors or
 batches (rows); gradients are exact sums over the supplied batch.
 
+A ``DenseNet`` owns two flat float64 vectors of one length,
+``parameters`` and ``gradients``, both laid out layer by layer: a
+layer's weights (row-major, [out, in]), then its biases. A layer's
+``weights`` and ``biases`` are views into ``parameters``, and
+``layer_gradients`` holds the same views into ``gradients``. ``backward``
+writes dW and db into those views and returns them. A returned gradient
+holds its values until the net's next ``backward`` or ``adam_step``:
+Adam uses the consumed gradient vector as scratch.
+
+``adam_step`` updates the flat moment vectors in place with the
+elementwise operations of the per-layer update, in the same order:
+``m = m*b1 + (1-b1)*g``, ``v = v*b2 + (1-b2)*g**2`` and
+``p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` with ``c = 1 - b**step``, so
+every float is the one the per-layer update gives
+(``tests/test_neuralnet.py`` keeps that update as a reference). The
+optimizer's one scratch vector and the gradient vector hold its
+temporaries, so a training step allocates no parameter-sized array.
+
 ``np`` is numpy, loaded on first use: importing this module (or
 ``learning``, which takes its ``np`` from here) only finds numpy, so the
 rule, search, report and play paths never load it. This is the one
@@ -53,9 +71,32 @@ class Layer:
     activation: str
 
 
-@dataclass
 class DenseNet:
-    layers: list[Layer]
+    """Dense layers over one flat parameter vector (see the module
+    docstring). Built from ``Layer``s, it copies their values and keeps
+    layers of its own that view its vector."""
+
+    def __init__(self, layers: Sequence[Layer]):
+        self.parameters = np.concatenate(
+            [np.ravel(a) for layer in layers for a in (layer.weights, layer.biases)],
+            dtype=np.float64,
+        )
+        self.gradients = np.zeros_like(self.parameters)
+        self.layers: list[Layer] = []
+        self.layer_gradients: list[tuple[np.ndarray, np.ndarray]] = []
+        end = 0
+        for layer in layers:
+            start, middle = end, end + layer.weights.size
+            end = middle + layer.biases.size
+            shape = layer.weights.shape
+            self.layers.append(Layer(self.parameters[start:middle].reshape(shape),
+                                     self.parameters[middle:end], layer.activation))
+            self.layer_gradients.append((self.gradients[start:middle].reshape(shape),
+                                         self.gradients[middle:end]))
+
+    def copy(self) -> "DenseNet":
+        """An equal net that shares no memory with this one."""
+        return DenseNet(self.layers)
 
     @property
     def layer_dims(self) -> list[int]:
@@ -133,17 +174,18 @@ def backward(net: DenseNet, cache, grad_output: np.ndarray, *, from_logits: bool
     ``from_logits`` treats ``grad_output`` as dL/dz of the final layer,
     skipping the last activation derivative (how the policy losses feed
     masked log-softmax gradients straight into the net).
-    Returns one (dW, db) pair per layer, summed over the batch.
+    Writes one (dW, db) pair per layer, summed over the batch, into
+    ``net.layer_gradients`` and returns that list.
     """
     inputs, pre, squeeze = cache
     grad = np.asarray(grad_output, dtype=np.float64)
     if squeeze:
         grad = grad[None, :]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)  # type: ignore
-    for index in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for index in range(last, -1, -1):
         layer = net.layers[index]
         z = pre[index]
-        if from_logits and index == len(net.layers) - 1:
+        if from_logits and index == last:
             dz = grad
         elif layer.activation == "relu":
             dz = grad * (z > 0.0)
@@ -152,17 +194,21 @@ def backward(net: DenseNet, cache, grad_output: np.ndarray, *, from_logits: bool
         else:  # softmax Jacobian-vector product: p * (g - (g . p))
             p = softmax(z)
             dz = p * (grad - np.sum(grad * p, axis=-1, keepdims=True))
-        grads[index] = (dz.T @ inputs[index], dz.sum(axis=0))
+        dw, db = net.layer_gradients[index]
+        np.matmul(dz.T, inputs[index], out=dw)
+        np.sum(dz, axis=0, out=db)
         grad = dz @ layer.weights
-    return grads
+    return net.layer_gradients
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one pair of slots per layer."""
+    """Bias-corrected Adam moments over a net's flat parameter vector, and
+    the scratch vector that holds one temporary of each step."""
 
-    first: list[tuple[np.ndarray, np.ndarray]]
-    second: list[tuple[np.ndarray, np.ndarray]]
+    first: np.ndarray
+    second: np.ndarray
+    scratch: np.ndarray
     step: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -171,32 +217,40 @@ class AdamState:
 
 
 def adam_init(net: DenseNet, lr: float = 1e-4) -> AdamState:
-    zeros = lambda layer: (
-        np.zeros_like(layer.weights),
-        np.zeros_like(layer.biases),
-    )
-    return AdamState(
-        first=[zeros(layer) for layer in net.layers],
-        second=[zeros(layer) for layer in net.layers],
-        lr=lr,
-    )
+    flat = net.parameters
+    # each step writes the scratch before it reads it
+    return AdamState(first=np.zeros_like(flat), second=np.zeros_like(flat),
+                     scratch=np.empty_like(flat), lr=lr)
 
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> None:
-    """One in-place Adam update over all layers."""
+    """One in-place Adam update of the whole parameter vector. ``grads`` is
+    what ``backward`` returned for ``net``, or one (dW, db) pair per layer,
+    which is first copied into the net's gradient vector. Either way the
+    gradients are consumed."""
+    if grads is not net.layer_gradients:
+        for (gw, gb), (dw, db) in zip(grads, net.layer_gradients):
+            dw[...] = gw
+            db[...] = gb
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**state.step
     correction2 = 1.0 - b2**state.step
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(
-        net.layers, grads, state.first, state.second
-    ):
-        for param, grad, m, v in ((layer.weights, gw, mw, vw), (layer.biases, gb, mb, vb)):
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * np.square(grad)
-            param -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+    g, s, m, v = net.gradients, state.scratch, state.first, state.second
+    m *= b1
+    np.multiply(1 - b1, g, out=s)
+    m += s
+    np.square(g, out=g)
+    np.multiply(1 - b2, g, out=g)
+    v *= b2
+    v += g
+    np.divide(m, correction1, out=s)
+    np.multiply(state.lr, s, out=s)
+    np.divide(v, correction2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    s /= g
+    net.parameters -= s
 
 
 FORMAT_VERSION = 1

@@ -9,9 +9,13 @@ from dhumbal.engine import (
     Card,
     DiscardGroup,
     GroupKind,
+    IllegalActionError,
     Observation,
     Phase,
+    PlayerState,
+    RoundState,
     Suit,
+    classify_group,
 )
 from dhumbal.heuristics import HeuristicAgent
 
@@ -30,6 +34,33 @@ def cards(*texts: str) -> list[Card]:
 
 def single(card: Card) -> DiscardGroup:
     return DiscardGroup(GroupKind.SINGLE, (card,))
+
+
+def make_group(cards) -> DiscardGroup:
+    """The canonical DiscardGroup of ``cards``; raises on an illegal group."""
+    kind = classify_group(cards)
+    if kind is None:
+        raise IllegalActionError(f"not a legal discard group: {[str(c) for c in cards]}")
+    return DiscardGroup(kind, tuple(sorted(cards)))
+
+
+def clone_state(state: RoundState, rng=None) -> RoundState:
+    """A copy of ``state`` at the same turn and phase, drawing from ``rng``
+    (the state's own stream when None); it has no observers and runs no
+    conservation checks."""
+    copy = RoundState(
+        [PlayerState(list(p.hand), p.coins) for p in state.players],
+        list(state.stock),
+        list(state.discard_stack),
+        rng if rng is not None else state.rng,
+        turn_limit=state.turn_limit,
+        round_index=state.round_index,
+        validate=False,
+    )
+    copy.current_player = state.current_player
+    copy.turn_count = state.turn_count
+    copy.phase = state.phase
+    return copy
 
 
 def make_obs(

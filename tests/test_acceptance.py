@@ -290,22 +290,14 @@ def test_c08_rl_smoke(ppo_smoke):
 
     buffer = learning.ReplayBuffer(2000)
     for i in range(2600):
-        buffer.push(
-            learning.Transition(
-                np.zeros(117), 0, float(i), np.zeros(117), True, np.zeros(128, bool)
-            )
-        )
+        buffer.push(np.zeros(117), 0, float(i), np.zeros(117), True, np.zeros(128, bool))
     assert len(buffer) == 2000
-    assert buffer.items[0].reward == 600.0  # strictly FIFO eviction
+    assert buffer.rewards[buffer.next_row] == 600.0  # strictly FIFO eviction
 
     core = learning.DQNAgentCore(learning.DQNConfig(batch_size=2), seed=3)
     sync_buffer = learning.ReplayBuffer(2000)
     for i in range(4):
-        sync_buffer.push(
-            learning.Transition(
-                np.zeros(117), i, 1.0, np.zeros(117), True, np.zeros(128, bool)
-            )
-        )
+        sync_buffer.push(np.zeros(117), i, 1.0, np.zeros(117), True, np.zeros(128, bool))
     step_rng = random.Random(0)
     for step in range(1, 201):
         core.train_step(sync_buffer, step_rng)

@@ -10,21 +10,56 @@ from dhumbal import engine, heuristics
 from dhumbal.engine import GroupKind, PickSource, Phase
 from dhumbal.heuristics import (
     HeuristicAgent,
-    completes_combination,
-    conservative_candidates,
     decide_discard,
     decide_jhyap,
     decide_pick,
-    discard_score,
     make_profile,
     opportunistic_adapt,
 )
-from helpers import c, cards, make_obs, patterned_hands, single
+from helpers import c, cards, make_group, make_obs, patterned_hands, single
 
 AGGRESSIVE = make_profile("aggressive")
 CONSERVATIVE = make_profile("conservative")
 BALANCED = make_profile("balanced")
 OPPORTUNISTIC = make_profile("opportunistic")
+
+
+def discard_score(hand, group, profile) -> float:
+    """The card-level score of one candidate discard; higher is better."""
+    return heuristics._score(engine.hand_value(hand), group.value(), len(group.cards),
+                             group.kind is GroupKind.SEQUENCE, profile)
+
+
+def conservative_candidates(hand, groups):
+    """Near the threshold, refuse to give up the lowest card unless the
+    discard itself lands the hand at 7 or below."""
+    total = engine.hand_value(hand)
+    if total > 12:
+        return groups
+    low_rank = min(card.rank for card in hand)
+    kept = [
+        g
+        for g in groups
+        if total - g.value() <= 7 or all(card.rank != low_rank for card in g.cards)
+    ]
+    return kept or groups
+
+
+def completes_combination(hand, card) -> bool:
+    """Would picking ``card`` give the hand a playable set or run?"""
+    if any(other.rank == card.rank for other in hand):
+        return True
+    ranks = {other.rank for other in hand if other.suit == card.suit}
+    below = card.rank - 1
+    length = 1
+    while below in ranks:
+        length += 1
+        below -= 1
+    above = card.rank + 1
+    while above in ranks:
+        length += 1
+        above += 1
+    return length >= 3
 
 
 def obs_with_hand(hand, phase=Phase.JHYAP_CHECK, top=None, **kw):
@@ -60,8 +95,8 @@ class TestDiscardScore:
 
     def test_sequence_bonus_applies(self):
         hand = cards("4H", "5H", "6H", "KD", "KC")
-        run = engine.make_group(cards("4H", "5H", "6H"))
-        pair = engine.make_group(cards("KD", "KC"))
+        run = make_group(cards("4H", "5H", "6H"))
+        pair = make_group(cards("KD", "KC"))
         run_score = discard_score(hand, run, AGGRESSIVE)
         # run: v=15, n=3, seq bonus; V=41, V_r=26
         expected = (15 * 1.0 + 3 * 2.0 + 3.0 + 0 + (15 / 41) * 10) * 1.2
@@ -283,7 +318,7 @@ class TestDecideDiscardMatchesReference:
         # 5H tie at 3 cards and 15 points, and the set comes first
         profile = make_profile("aggressive", risk_factor=0)
         obs = obs_with_hand(cards("4H", "5H", "6H", "5C", "5D"), phase=Phase.DISCARD)
-        assert decide_discard(profile, obs) == engine.make_group(cards("5C", "5D", "5H"))
+        assert decide_discard(profile, obs) == make_group(cards("5C", "5D", "5H"))
         # a low preference and a card penalty make the best discard a low
         # single; the two deuces tie, and clubs come first
         profile = make_profile("aggressive", high_value_preference=-1, multi_card_bonus=-3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from dhumbal.learning import (
     ReplayBuffer,
     RLAgent,
     RoundEnv,
-    Transition,
     action_table,
     checkpoint_select,
     convergence_check,
@@ -332,27 +332,128 @@ class TestActionTable:
             assert set(np.flatnonzero(legal_action_mask(obs))) == set(table)
 
 
+def reference_train_step(core, items: deque, rng: random.Random):
+    """``DQNAgentCore.train_step`` as it was over a deque of transition
+    tuples: the batch drawn by ``rng.sample`` over the deque and stacked,
+    the target net synced by a fresh copy."""
+    cfg = core.cfg
+    if len(items) < cfg.batch_size:
+        return None
+    batch = rng.sample(list(items), cfg.batch_size)
+    states = np.stack([t[0] for t in batch])
+    next_states = np.stack([t[3] for t in batch])
+    actions = np.array([t[1] for t in batch])
+    rewards = np.array([t[2] for t in batch])
+    dones = np.array([t[4] for t in batch], dtype=float)
+    next_masks = np.stack([t[5] for t in batch])
+
+    next_q = nn.forward(core.target_net, next_states)
+    next_q = np.where(next_masks, next_q, -np.inf)
+    best_next = np.max(next_q, axis=1)
+    best_next = np.where(np.isfinite(best_next), best_next, 0.0)
+    targets = rewards + cfg.gamma * (1.0 - dones) * best_next
+
+    q, cache = nn.forward_cache(core.net, states)
+    chosen = q[np.arange(len(batch)), actions]
+    errors = chosen - targets
+    loss = float(np.mean(errors**2))
+    grad_out = np.zeros_like(q)
+    grad_out[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
+    grads = nn.backward(core.net, cache, grad_out)
+    nn.adam_step(core.net, grads, core.optimizer)
+    core.train_steps += 1
+    if core.train_steps % cfg.target_sync_every == 0:
+        core.target_net = core.net.copy()
+    return loss
+
+
+def random_transitions(rng: np.random.Generator, count: int):
+    """Distinct transitions with random states, actions, rewards, ends and
+    next masks (some with no legal index)."""
+    for i in range(count):
+        yield (rng.normal(size=117), int(rng.integers(128)), float(i) + rng.normal(),
+               rng.normal(size=117), bool(rng.random() < 0.2), rng.random(128) < 0.1)
+
+
 class TestReplayBuffer:
-    def transition(self, tag: float) -> Transition:
-        return Transition(
-            np.full(117, tag), 0, tag, np.full(117, tag), False, np.zeros(128, bool)
-        )
+    def push_tagged(self, buffer: ReplayBuffer, tag: float) -> None:
+        buffer.push(np.full(117, tag), 0, tag, np.full(117, tag), False, np.zeros(128, bool))
 
     def test_capacity_and_fifo(self):
         buffer = ReplayBuffer(2000)
         for i in range(2005):
-            buffer.push(self.transition(float(i)))
+            self.push_tagged(buffer, float(i))
         assert len(buffer) == 2000
-        assert buffer.items[0].reward == 5.0  # first five evicted, in order
-        assert buffer.items[-1].reward == 2004.0
+        oldest = buffer.next_row  # the row the next push overwrites
+        assert buffer.rewards[oldest] == 5.0  # first five evicted, in order
+        assert buffer.rewards[oldest - 1] == 2004.0
+        in_order = np.roll(buffer.rewards, -oldest)
+        assert np.array_equal(in_order, np.arange(5.0, 2005.0))
+        assert np.array_equal(np.roll(buffer.states, -oldest, axis=0)[:, 0], in_order)
 
     def test_sample_without_replacement(self):
         buffer = ReplayBuffer(100)
         for i in range(40):
-            buffer.push(self.transition(float(i)))
-        batch = buffer.sample(32, random.Random(0))
-        rewards = [t.reward for t in batch]
-        assert len(set(rewards)) == 32
+            self.push_tagged(buffer, float(i))
+        states, actions, rewards, next_states, dones, next_masks = buffer.sample(
+            32, random.Random(0))
+        assert len(set(rewards.tolist())) == 32
+        assert np.array_equal(states[:, 0], rewards)
+        assert states.shape == next_states.shape == (32, 117)
+        assert next_masks.shape == (32, 128) and next_masks.dtype == bool
+        assert actions.shape == dones.shape == (32,)
+
+    def test_wraparound_matches_deque_reference(self):
+        """Three times the capacity through a small ring and through a
+        ``deque(maxlen=capacity)``: every sample is the reference's stacked
+        draw, and leaves the random stream where the reference leaves it."""
+        capacity, batch_size = 40, 8
+        buffer, reference = ReplayBuffer(capacity), deque(maxlen=capacity)
+        rng, reference_rng = random.Random(11), random.Random(11)
+        for transition in random_transitions(np.random.default_rng(4), 3 * capacity):
+            buffer.push(*transition)
+            reference.append(transition)
+            assert len(buffer) == len(reference)
+            if len(reference) < batch_size:
+                continue
+            got = buffer.sample(batch_size, rng)
+            drawn = reference_rng.sample(list(reference), batch_size)
+            expected = (
+                np.stack([t[0] for t in drawn]),
+                np.array([t[1] for t in drawn]),
+                np.array([t[2] for t in drawn]),
+                np.stack([t[3] for t in drawn]),
+                np.array([t[4] for t in drawn], dtype=float),
+                np.stack([t[5] for t in drawn]),
+            )
+            for column, want in zip(got, expected):
+                assert column.dtype == want.dtype
+                assert column.tobytes() == want.tobytes()
+            assert rng.getstate() == reference_rng.getstate()
+
+    def test_train_step_matches_deque_reference(self):
+        """The same core trained through the ring and through the deque
+        reference: equal losses at every step, equal nets, equal streams,
+        across target syncs and three fills of the ring."""
+        cfg = DQNConfig(batch_size=8, lr=1e-3, target_sync_every=10, replay_capacity=40)
+        core, reference_core = DQNAgentCore(cfg, seed=6), DQNAgentCore(cfg, seed=6)
+        buffer, reference = ReplayBuffer(cfg.replay_capacity), deque(maxlen=cfg.replay_capacity)
+        rng, reference_rng = random.Random(2), random.Random(2)
+        losses = []
+        for transition in random_transitions(np.random.default_rng(8), 3 * cfg.replay_capacity):
+            buffer.push(*transition)
+            reference.append(transition)
+            loss = core.train_step(buffer, rng)
+            assert loss == reference_train_step(reference_core, reference, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()
+            losses.append(loss)
+        assert sum(loss is not None for loss in losses) == 3 * cfg.replay_capacity - 7
+        assert core.train_steps == reference_core.train_steps == 113
+        for name in ("net", "target_net"):
+            ours, theirs = getattr(core, name), getattr(reference_core, name)
+            assert ours.parameters.tobytes() == theirs.parameters.tobytes()
+        assert core.optimizer.first.tobytes() == reference_core.optimizer.first.tobytes()
+        assert not np.shares_memory(core.net.parameters, core.target_net.parameters)
 
 
 class TestDqnSelect:
@@ -406,7 +507,7 @@ class TestDqnTrainStep:
     def filled_buffer(self, transitions):
         buffer = ReplayBuffer(2000)
         for t in transitions:
-            buffer.push(t)
+            buffer.push(*t)
         return buffer
 
     def test_terminal_batch_targets_equal_rewards(self):
@@ -415,8 +516,8 @@ class TestDqnTrainStep:
         mask = np.zeros(128, bool)
         buffer = self.filled_buffer(
             [
-                Transition(s1, 3, 7.0, s1, True, mask),
-                Transition(s2, 5, -2.0, s2, True, mask),
+                (s1, 3, 7.0, s1, True, mask),
+                (s2, 5, -2.0, s2, True, mask),
             ]
         )
         q = nn.forward(core.net, np.stack([s1, s2]))
@@ -431,8 +532,8 @@ class TestDqnTrainStep:
         next_mask = np.ones(128, bool)
         buffer = self.filled_buffer(
             [
-                Transition(s1, 3, 7.0, s2, False, next_mask),
-                Transition(s2, 5, -2.0, s1, False, next_mask),
+                (s1, 3, 7.0, s2, False, next_mask),
+                (s2, 5, -2.0, s1, False, next_mask),
             ]
         )
         q = nn.forward(core.net, np.stack([s1, s2]))
@@ -452,7 +553,7 @@ class TestDqnTrainStep:
         s = np.zeros(117)
         mask = np.zeros(128, bool)
         buffer = self.filled_buffer(
-            [Transition(s, i % 4, float(i), s, True, mask) for i in range(8)]
+            [(s, i % 4, float(i), s, True, mask) for i in range(8)]
         )
         rng = random.Random(3)
 

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhumbal import learning
 from dhumbal import neuralnet as nn
@@ -46,6 +48,212 @@ def analytic_grads_flat(net, x, probe):
         flat.append(dw)
         flat.append(db)
     return flat
+
+
+def reference_backward(net, cache, grad_output, *, from_logits=False):
+    """The per-layer backward pass the flat one must equal bit for bit:
+    fresh (dW, db) arrays per layer."""
+    inputs, pre, squeeze = cache
+    grad = np.asarray(grad_output, dtype=np.float64)
+    if squeeze:
+        grad = grad[None, :]
+    grads = [None] * len(net.layers)
+    for index in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[index]
+        z = pre[index]
+        if from_logits and index == len(net.layers) - 1:
+            dz = grad
+        elif layer.activation == "relu":
+            dz = grad * (z > 0.0)
+        elif layer.activation == "linear":
+            dz = grad
+        else:
+            p = nn.softmax(z)
+            dz = p * (grad - np.sum(grad * p, axis=-1, keepdims=True))
+        grads[index] = (dz.T @ inputs[index], dz.sum(axis=0))
+        grad = dz @ layer.weights
+    return grads
+
+
+def reference_adam_init(net):
+    zeros = lambda layer: (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
+    return SimpleNamespace(first=[zeros(layer) for layer in net.layers],
+                           second=[zeros(layer) for layer in net.layers],
+                           step=0, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+
+
+def reference_adam_step(net, grads, state):
+    """The per-layer Adam update, with per-layer moments, that the flat one
+    must equal bit for bit."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    correction1 = 1.0 - b1**state.step
+    correction2 = 1.0 - b2**state.step
+    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(
+        net.layers, grads, state.first, state.second
+    ):
+        for param, grad, m, v in ((layer.weights, gw, mw, vw), (layer.biases, gb, mb, vb)):
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * np.square(grad)
+            param -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+
+
+def reference_net(net):
+    """Separate per-layer arrays holding ``net``'s values, laid out as
+    before the flat vector: a net ``forward_cache`` reads as it reads any."""
+    return SimpleNamespace(layers=[
+        nn.Layer(layer.weights.copy(), layer.biases.copy(), layer.activation)
+        for layer in net.layers
+    ])
+
+
+def flat_bytes(pairs) -> bytes:
+    return b"".join(a.tobytes() for pair in pairs for a in pair)
+
+
+def assert_trains_like_reference(net, loss_grad, rng, *, steps=20, batch=8,
+                                 from_logits=False, lr=1e-3):
+    """Train ``net`` and a per-layer reference copy side by side on the same
+    random batches; after every step the parameters, both moments and the
+    gradients are byte-equal."""
+    reference = reference_net(net)
+    state, reference_state = nn.adam_init(net, lr=lr), reference_adam_init(net)
+    reference_state.lr = lr
+    for _ in range(steps):
+        x = rng.normal(size=(batch, net.layer_dims[0]))
+        out, cache = nn.forward_cache(net, x)
+        reference_out, reference_cache = nn.forward_cache(reference, x)
+        assert out.tobytes() == reference_out.tobytes()
+        grad_output = loss_grad(out)
+        grads = nn.backward(net, cache, grad_output, from_logits=from_logits)
+        reference_grads = reference_backward(reference, reference_cache, grad_output,
+                                             from_logits=from_logits)
+        assert flat_bytes(grads) == flat_bytes(reference_grads)
+        assert net.gradients.tobytes() == flat_bytes(reference_grads)
+        nn.adam_step(net, grads, state)
+        reference_adam_step(reference, reference_grads, reference_state)
+        assert state.step == reference_state.step
+        assert net.parameters.tobytes() == flat_bytes(
+            (layer.weights, layer.biases) for layer in reference.layers)
+        assert state.first.tobytes() == flat_bytes(reference_state.first)
+        assert state.second.tobytes() == flat_bytes(reference_state.second)
+
+
+class TestFlatLayout:
+    def test_layers_view_the_parameter_vector(self):
+        net = random_net(np.random.default_rng(0), dims=(5, 4, 3))
+        assert net.parameters.size == net.gradients.size == parameter_count(net)
+        for layer, (dw, db) in zip(net.layers, net.layer_gradients):
+            for view, flat in ((layer.weights, net.parameters), (layer.biases, net.parameters),
+                               (dw, net.gradients), (db, net.gradients)):
+                assert view.base is flat and view.flags.c_contiguous
+            assert dw.shape == layer.weights.shape and db.shape == layer.biases.shape
+        net.parameters[:] = np.arange(net.parameters.size)
+        assert net.layers[0].weights[1, 0] == 5.0  # row-major, weights before biases
+        assert net.layers[0].biases[0] == 20.0
+        assert net.layers[1].weights[0, 0] == 24.0
+
+    def test_net_from_layers_keeps_their_values(self):
+        rng = np.random.default_rng(1)
+        given_layers = [nn.Layer(rng.normal(size=(4, 3)), rng.normal(size=4), "relu"),
+                        nn.Layer(rng.normal(size=(2, 4)), rng.normal(size=2), "linear")]
+        net = nn.DenseNet(given_layers)
+        for mine, given in zip(net.layers, given_layers):
+            assert mine.weights.tobytes() == given.weights.tobytes()
+            assert mine.biases.tobytes() == given.biases.tobytes()
+            assert mine.activation == given.activation
+            assert not np.shares_memory(mine.weights, given.weights)
+        assert net.layer_dims == [3, 4, 2] and net.activations == ["relu", "linear"]
+
+    def test_copy_shares_no_memory(self):
+        net = random_net(np.random.default_rng(2), dims=(6, 5, 4))
+        twin = net.copy()
+        assert twin.parameters.tobytes() == net.parameters.tobytes()
+        assert twin.activations == net.activations
+        for ours, theirs in ((net.parameters, twin.parameters), (net.gradients, twin.gradients),
+                             (net.parameters, twin.gradients)):
+            assert not np.shares_memory(ours, theirs)
+        twin.layers[0].weights[0, 0] += 1.0
+        assert twin.parameters[0] != net.parameters[0]
+
+    def test_target_net_does_not_alias_online_net(self):
+        core = learning.DQNAgentCore(learning.DQNConfig(), seed=0)
+        assert core.target_net.parameters.tobytes() == core.net.parameters.tobytes()
+        assert not np.shares_memory(core.net.parameters, core.target_net.parameters)
+        core.net.parameters[0] += 1.0
+        assert core.target_net.parameters[0] != core.net.parameters[0]
+
+
+class TestBitIdenticalToPerLayerReference:
+    """The flat backward and Adam against the per-layer code they replace."""
+
+    def test_dqn_net(self):
+        rng = np.random.default_rng(17)
+        net = nn.init_net((117, 128, 64, 128), ("relu", "relu", "linear"), rng)
+
+        def td_grad(q):  # one chosen action per row, as train_step feeds it
+            grad = np.zeros_like(q)
+            grad[np.arange(len(q)), rng.integers(128, size=len(q))] = rng.normal(size=len(q))
+            return grad
+
+        assert_trains_like_reference(net, td_grad, rng, steps=25, batch=32, lr=1e-4)
+
+    def test_ppo_actor(self):
+        rng = np.random.default_rng(18)
+        net = nn.init_net((117, 128, 64, 128), ("relu", "relu", "linear"), rng)
+        assert_trains_like_reference(net, lambda logits: rng.normal(size=logits.shape) / 16,
+                                     rng, steps=25, batch=16, from_logits=True, lr=1e-4)
+
+    def test_ppo_critic(self):
+        rng = np.random.default_rng(19)
+        net = nn.init_net((117, 128, 64, 1), ("relu", "relu", "linear"), rng)
+        assert_trains_like_reference(net, lambda values: 0.5 * 2.0 * values / len(values),
+                                     rng, steps=25, batch=16, lr=1e-4)
+
+    def test_single_row_batch(self):
+        rng = np.random.default_rng(20)
+        net = random_net(rng, dims=(5, 4, 3), activations=("relu", "softmax"))
+        reference = reference_net(net)
+        x = rng.normal(size=5)
+        _, cache = nn.forward_cache(net, x)
+        _, reference_cache = nn.forward_cache(reference, x)
+        probe = rng.normal(size=3)
+        assert flat_bytes(nn.backward(net, cache, probe)) == flat_bytes(
+            reference_backward(reference, reference_cache, probe))
+
+    def test_hand_built_gradients(self):
+        """A list of (dW, db) arrays that ``backward`` did not write is
+        copied in and gives the reference's update; the arrays are kept."""
+        rng = np.random.default_rng(21)
+        net = random_net(rng, dims=(6, 5, 3))
+        reference = reference_net(net)
+        state, reference_state = nn.adam_init(net), reference_adam_init(net)
+        for _ in range(20):
+            grads = [(rng.normal(size=layer.weights.shape), rng.normal(size=layer.biases.shape))
+                     for layer in net.layers]
+            kept = flat_bytes(grads)
+            nn.adam_step(net, grads, state)
+            reference_adam_step(reference, grads, reference_state)
+            assert flat_bytes(grads) == kept
+            assert net.parameters.tobytes() == flat_bytes(
+                (layer.weights, layer.biases) for layer in reference.layers)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+        activations=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 5),
+    )
+    def test_small_nets(self, dims, activations, seed, batch):
+        names = activations.draw(st.lists(st.sampled_from(nn.ACTIVATIONS),
+                                          min_size=len(dims) - 1, max_size=len(dims) - 1))
+        rng = np.random.default_rng(seed)
+        net = nn.init_net(dims, names, rng)
+        assert_trains_like_reference(net, lambda out: rng.normal(size=out.shape), rng,
+                                     steps=20, batch=batch, lr=1e-2)
 
 
 class TestForward:

@@ -27,7 +27,7 @@ from dhumbal.search import (
     mcts_decide,
     ucb_score,
 )
-from helpers import c, cards, make_obs, single
+from helpers import c, cards, clone_state, make_group, make_obs, single
 
 
 class TestUcbScore:
@@ -365,8 +365,8 @@ class TestRollout:
     def test_playout_matches_engine_step(self, seed, num_players, turn_limit, warmup, cap):
         base = engine.deal(num_players, random.Random(seed), turn_limit=turn_limit)
         step_playout(base, random.Random(seed + 1), warmup)  # may end the round
-        fast = base.clone(random.Random(seed))
-        reference = base.clone(random.Random(seed))
+        fast = clone_state(base, random.Random(seed))
+        reference = clone_state(base, random.Random(seed))
         reference.validate = True
         outcome = search._playout_outcome(fast, fast.rng, cap)
         assert outcome == step_playout(reference, reference.rng, cap)
@@ -409,7 +409,7 @@ class TestRollout:
         total = 0.0
         n = 10_000
         for _ in range(n):
-            outcome = search._playout_outcome(base.clone(rng), rng, 1_000)
+            outcome = search._playout_outcome(clone_state(base, rng), rng, 1_000)
             total += outcome.coin_delta[0] if outcome is not None else 0
         mean = total / n
         # outcome spread is a few coins; 10k samples pin the mean well inside 0.4
@@ -450,7 +450,7 @@ def last_discard_obs_and_belief():
         opponent_hand_sizes={1: 1},
         known_opponent_cards={1: frozenset()},
     )
-    expected = engine.make_group(cards("KH", "KD"))
+    expected = make_group(cards("KH", "KD"))
     return obs, belief, expected
 
 
