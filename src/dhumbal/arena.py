@@ -1,9 +1,12 @@
 """Tournament orchestration for Dhumbal agents.
 
 Plays complete rounds between any mix of agents (rule-based, search,
-learning, random, human): each decision is asked of the agent through
-``engine.ask``, timed with a monotonic clock, and applied with
-``engine.step``, which also reports when the round ends. The results
+learning, random, human) in one turn loop, ``play_round``: each decision
+is asked of the agent through ``engine.ask``, timed with a monotonic
+clock, and applied with ``engine.step``, which also reports when the
+round ends. ``run_round`` plays a round with an agent at every seat;
+``learning.RoundEnv`` plays its learner's seat from outside the loop,
+and checkpoint validation plays through ``run_round``. The results
 are aggregated into metric summaries. Coin balances persist
 across a tournament's rounds; hands are redealt every round. Sequential
 execution reproduces records bit-for-bit (timing aside) from (config,
@@ -12,11 +15,12 @@ index instead, which keeps rounds reproducible but fixes observed coin
 balances at their starting value. Both modes play a round through one
 ``_play`` and keep the books in one loop, ``play_rounds``, which asserts
 that every round is zero-sum and conserves the coins; ``run_tournament``
-and the CLI's interactive table both play through it.
+and the CLI's interactive table both play through it. Only a "dqn" or
+"ppo" entry loads ``learning``, and numpy with it.
 
 An agent has a ``name``, ``begin_round(seat, num_players)`` and the three
 ``decide_*`` calls that ``engine.ask`` makes. ``observe(event)`` is
-optional: ``run_round`` passes the ``observe`` of every agent that has it
+optional: ``play_round`` passes the ``observe`` of every agent that has it
 to ``engine.deal``, so it is sent every public event of the round
 (``engine.PublicEvent``) as the engine makes it, and a round in which no
 agent has it builds no events at all.
@@ -48,7 +52,6 @@ from .engine import (
     step,
 )
 from .heuristics import PROFILES, HeuristicAgent, HeuristicProfile, make_profile
-from .learning import RLAgent
 from .search import SearchAgent, SearchConfig
 
 
@@ -123,6 +126,7 @@ def build_agent(spec: Union[str, dict]):
                 f"{kind!r} agent needs a 'checkpoint' path; refusing to play "
                 "with untrained weights"
             )
+        from .learning import RLAgent  # learning, and numpy, load only for a learner
         agent = RLAgent.from_checkpoint(Path(checkpoint), name=kind)
         if agent.kind != kind:
             raise ValueError(
@@ -209,7 +213,7 @@ class RoundRecord:
     decision_ms: tuple[float, ...]
 
 
-def run_round(
+def play_round(
     agents: Sequence,
     seating: Sequence[int],
     rng: random.Random,
@@ -217,22 +221,21 @@ def run_round(
     balances: Optional[Sequence[int]] = None,
     round_index: int = 0,
     turn_limit: int = 100,
-) -> RoundRecord:
-    """Play one full round. Each choice is asked of its agent through
-    ``engine.ask`` on one observation and timed; a forced decline, a Jhyap
-    check whose mover holds more than the threshold, is played without
-    asking, so it builds no observation and counts as no decision."""
+):
+    """Deal and play one round: a generator that returns its ``RoundRecord``.
+    Each choice is asked of its agent through ``engine.ask`` on one
+    observation and timed; a forced decline, a Jhyap check whose mover
+    holds more than the threshold, is played without asking, so it builds
+    no observation and counts as no decision. A seat whose agent is
+    ``None`` is played from outside: at each of its moves, forced declines
+    included, the generator yields the ``RoundState`` and plays the action
+    sent back, and counts no decision, card or step reward for it."""
     num_players = len(seating)
     agent_of_seat = list(seating)
-    coins = (
-        [10_000] * num_players
-        if balances is None
-        else [balances[agent_of_seat[seat]] for seat in range(num_players)]
-    )
     state = deal(
         num_players,
         rng,
-        coins=coins,
+        coins=None if balances is None else [balances[index] for index in agent_of_seat],
         round_index=round_index,
         turn_limit=turn_limit,
         observers=[a.observe for a in agents if hasattr(a, "observe")],
@@ -243,12 +246,16 @@ def run_round(
     decisions = [0] * n_agents
     decision_ms = [0.0] * n_agents
 
+    external = [agents[index] is None for index in agent_of_seat]
     for seat in range(num_players):
-        agents[agent_of_seat[seat]].begin_round(seat, num_players)
+        if not external[seat]:
+            agents[agent_of_seat[seat]].begin_round(seat, num_players)
 
     outcome = round_termination(state)
     while outcome is None:
-        if forced_decline(state):
+        if external[state.current_player]:
+            action = yield state
+        elif forced_decline(state):
             action = JhyapAction.DECLINE
         else:
             seat = state.current_player
@@ -293,6 +300,16 @@ def run_round(
         decisions=tuple(decisions),
         decision_ms=tuple(decision_ms),
     )
+
+
+def run_round(agents: Sequence, seating: Sequence[int], rng: random.Random,
+              **options) -> RoundRecord:
+    """``play_round`` run to its end: every seat must have an agent."""
+    try:
+        next(play_round(agents, seating, rng, **options))
+    except StopIteration as end:
+        return end.value
+    raise ValueError("run_round needs an agent at every seat")
 
 
 @dataclass

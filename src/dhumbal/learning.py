@@ -29,7 +29,9 @@ equal byte for byte are references in ``tests/test_learning.py``.
 
 Rewards: +1.0 per valid discard or pick, -10.0 for an invalid action
 (the environment then substitutes a uniformly random legal action), and
-the player's settlement coin delta when the round ends.
+the player's settlement coin delta when the round ends. ``RoundEnv`` is
+``arena.play_round`` with the learner's seat played from outside, and
+``checkpoint_select`` validates with ``arena.run_round``: one turn loop.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analytics, neuralnet as nn
+from . import analytics, arena, neuralnet as nn
 from .engine import (
     FULL_DECK,
     Action,
@@ -49,14 +51,9 @@ from .engine import (
     JhyapAction,
     Observation,
     PickSource,
-    RoundOutcome,
-    ask,
     card_index,
-    deal,
-    forced_decline,
     legal_actions,
     observation_for,
-    step,
     _DECLARE,
     _RANK_OF,
     _SET,
@@ -490,10 +487,12 @@ class RoundEnv:
     """One round of Dhumbal as an episodic environment for a learner at
     seat 0, with ``opponents`` at seats 1, 2, ... in order.
 
-    Opponents play automatically between the learner's decision points;
-    every learner decision (including forced ones) is one step. ``deal``
-    gives seat 0 the first turn, so ``reset`` always leaves the learner at
-    a live Jhyap check, and a round's settlement lands on a ``step``.
+    The round is ``arena.play_round`` with the learner's seat played from
+    outside: the opponents play between the learner's moves, and every
+    learner move, forced declines included, is one step. Seat 0 has the
+    first turn, so ``reset`` always leaves the learner at a live Jhyap
+    check, and a round's settlement lands on a ``step``, after which
+    ``record`` holds the round's ``arena.RoundRecord``.
     """
 
     def __init__(self, opponents, rng: random.Random):
@@ -503,46 +502,32 @@ class RoundEnv:
             raise ValueError("need 1..4 opponents")
         self.rng = rng
         self.state = None
-        self.outcome: Optional[RoundOutcome] = None
+        self.record: Optional[arena.RoundRecord] = None
+        self._round = None
         self._table: dict[int, Action] = {}
 
     def reset(self) -> tuple[np.ndarray, np.ndarray, Observation]:
-        # events are built only when some opponent observes them
-        self.state = deal(
-            self.num_players,
-            self.rng,
-            observers=[a.observe for a in self.opponents if hasattr(a, "observe")],
-        )
-        self.outcome = None
-        for seat, opponent in enumerate(self.opponents, start=1):
-            opponent.begin_round(seat, self.num_players)
+        self._round = arena.play_round(
+            [None, *self.opponents], range(self.num_players), self.rng)
+        self.record = None
+        self.state = next(self._round)
         return self._observe_learner()
-
-    def _advance_to_learner(self) -> None:
-        """Play opponent actions until the learner must act or the round ends."""
-        state = self.state
-        while self.outcome is None and state.current_player != 0:
-            if forced_decline(state):
-                action = JhyapAction.DECLINE
-            else:
-                seat = state.current_player
-                action = ask(self.opponents[seat - 1], observation_for(state, seat), self.rng)
-            self.outcome = step(state, action)
 
     def _observe_learner(self) -> tuple[np.ndarray, np.ndarray, Observation]:
         """The learner's observation, its encoding and its mask. The action
         table stays for the next ``step``; it is empty once the round ends."""
         obs = observation_for(self.state, 0)
-        self._table = action_table(obs) if self.outcome is None else {}
+        self._table = action_table(obs) if self.record is None else {}
         return encode_state(obs), _mask(self._table), obs
 
     def step(self, action_index: int):
         """Apply one learner decision.
 
         Returns (next_state, next_mask, reward, done, info). Invalid
-        indices cost -10 and a random legal action is played instead.
+        indices cost -10 and a random legal action is played instead;
+        ``info["invalid"]`` says which.
         """
-        assert self.state is not None and self.outcome is None, "env needs reset"
+        assert self.state is not None and self.record is None, "env needs reset"
         table = self._table
         action = table.get(action_index)
         invalid = action is None
@@ -553,14 +538,13 @@ class RoundEnv:
         else:
             step_reward = 0.0 if isinstance(action, JhyapAction) else REWARD_VALID
 
-        self.outcome = step(self.state, action)
-        self._advance_to_learner()
+        try:
+            self._round.send(action)
+        except StopIteration as end:
+            self.record = end.value
+            step_reward += float(self.record.coin_delta[0])
         next_vec, next_mask, _ = self._observe_learner()
-        done = self.outcome is not None
-        if done:
-            step_reward += float(self.outcome.coin_delta[0])
-        info = {"invalid": invalid, "outcome": self.outcome, "turns": self.state.turn_count}
-        return next_vec, next_mask, step_reward, done, info
+        return next_vec, next_mask, step_reward, self.record is not None, {"invalid": invalid}
 
 
 # --- training -------------------------------------------------------------
@@ -718,14 +702,14 @@ def train(
                 - core.cfg.entropy_coef * entropy
             )
 
-        win = env.outcome.winner == 0
+        win = env.record.winner_agent == 0
         wins.append(1.0 if win else 0.0)
         curve.append(
             EpisodeStats(
                 episode=episode,
                 reward=total_reward,
                 win=win,
-                length=env.state.turn_count,
+                length=env.record.turns,
                 loss=float(np.mean(losses)) if losses else 0.0,
             )
         )
@@ -753,44 +737,31 @@ def write_curve_csv(path: Path, curve: Sequence[EpisodeStats]) -> None:
     analytics.write_csv(path, header, map(astuple, curve))
 
 
-def evaluate_win_rate(
-    kind: str, nets: dict, opponents, rounds: int, seed: int
-) -> float:
-    """Greedy-policy win rate over fresh validation rounds."""
-    agent = RLAgent(kind, nets)
-    rng = random.Random(seed)
-    env = RoundEnv(opponents, rng)
-    wins = 0
-    for _ in range(rounds):
-        state_vec, mask, _ = env.reset()
-        done = False
-        while not done:
-            action = agent.greedy_index(state_vec, mask)
-            state_vec, mask, _, done, _ = env.step(action)
-        if env.outcome.winner == 0:
-            wins += 1
-    return wins / rounds
-
-
 def checkpoint_select(
     checkpoint_paths: Sequence[Path],
     validation_opponents=None,
     rounds: int = 64,
     seed: int = 42,
 ) -> Path:
-    """Pick the checkpoint with the best validation win rate (ties: later)."""
+    """Pick the checkpoint whose greedy agent wins the most of ``rounds``
+    validation rounds (ties: the later), each checkpoint's rounds played by
+    ``arena.run_round`` at seat 0 from a fresh ``random.Random(seed)``."""
     if not checkpoint_paths:
         raise ValueError("need at least one checkpoint")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     best_path = None
-    best_rate = -1.0
+    best_wins = -1
     for path in checkpoint_paths:
-        kind, nets = load_learning_checkpoint(path)
         opponents = (
             default_opponents() if validation_opponents is None else validation_opponents
         )
-        rate = evaluate_win_rate(kind, nets, opponents, rounds, seed)
-        if rate >= best_rate:  # later checkpoints win ties
-            best_rate = rate
+        agents = [RLAgent.from_checkpoint(path), *opponents]
+        rng = random.Random(seed)
+        wins = sum(arena.run_round(agents, range(len(agents)), rng).winner_agent == 0
+                   for _ in range(rounds))
+        if wins >= best_wins:  # later checkpoints win ties
+            best_wins = wins
             best_path = path
     return best_path
 

@@ -429,7 +429,6 @@ class _TreeSearch:
         # False: scaled by the action's accumulated legality frequency.
         self.batch_legality = batch_legality
         self.last_root: Optional[InfoNode] = None
-        self.credit_log: Optional[list[tuple[int, Action, float]]] = None
 
     def decide(
         self,
@@ -548,8 +547,6 @@ class _TreeSearch:
             stats.visits += 1
             stats.total_reward += mean_delta[visited.mover]
             visited.visits += 1
-            if self.credit_log is not None:
-                self.credit_log.append((id(visited), action, mean_delta[visited.mover]))
 
     def _select(
         self,

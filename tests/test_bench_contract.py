@@ -65,6 +65,6 @@ def test_workload_patches_resolve(owner, name):
 
 
 def test_arena_deals_with_the_engines_deal():
-    # the tracer counts deals by replacing engine.deal wherever it is held
+    # the tracer counts deals by replacing engine.deal wherever it is held;
+    # the learner's episodes deal through the arena too
     assert arena.deal is engine.deal
-    assert learning.deal is engine.deal

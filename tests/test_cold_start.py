@@ -1,5 +1,6 @@
 """numpy is a first-use import: the rule, search, report and play paths
-never load it, and learning loads it when it first computes."""
+never load it, and learning loads it when it first computes. Every module
+imports cleanly as the first one a fresh interpreter loads."""
 
 from __future__ import annotations
 
@@ -57,6 +58,19 @@ def test_commands_run_without_numpy_and_learning_loads_it(tmp_path):
     assert result["net"] == nn.net_to_doc(core.net)
     assert result["q"] == nn.forward(core.net, state).tolist()
     assert result["mask"] == mask.tolist()
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in (SRC / "dhumbal").glob("*.py")))
+def test_each_module_imports_first(module):
+    """An import cycle shows only for some import orders (learning imports
+    arena, and arena imports learning inside ``build_agent``), so each
+    module is imported first by a fresh interpreter."""
+    name = "dhumbal" if module == "__init__" else f"dhumbal.{module}"
+    done = subprocess.run([sys.executable, "-c", f"import {name}"],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_numpy_is_imported_in_one_place():

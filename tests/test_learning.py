@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhumbal import engine, learning
+from dhumbal import arena, engine, learning
 from dhumbal import neuralnet as nn
-from dhumbal.arena import RandomAgent, run_round
+from dhumbal.arena import RandomAgent, build_agent, run_round
 from dhumbal.engine import Phase, PickSource
 from dhumbal.heuristics import HeuristicAgent
 from dhumbal.learning import (
@@ -705,10 +706,23 @@ class TestRoundEnv:
         before the learner's first decision."""
         env = self.make_env(seed, [RandomAgent() for _ in range(num_opponents)])
         _, mask, obs = env.reset()
-        assert env.outcome is None
+        assert env.record is None
         assert env.state.current_player == 0 and obs.seat == 0
         assert obs.phase is Phase.JHYAP_CHECK
         assert mask[ACTION_DECLINE]
+
+    def test_forced_declines_are_learner_steps(self):
+        """The learner's seat is played from outside at every move, so a
+        Jhyap check it cannot win is still a step with DECLINE alone legal."""
+        env = self.make_env(seed=4, opponents=learning.default_opponents())
+        forced = 0
+        for _ in range(10):
+            _, mask, _ = env.reset()
+            done = False
+            while not done:
+                forced += mask.sum() == 1 and bool(mask[ACTION_DECLINE])
+                _, mask, _, done, _ = env.step(int(np.flatnonzero(mask)[0]))
+        assert forced > 0
 
     def test_episode_checks_conservation(self, monkeypatch):
         """Training deals validated rounds: every discard and pick of an
@@ -731,7 +745,7 @@ class TestRoundEnv:
     def test_episode_runs_to_completion(self):
         env = self.make_env()
         state_vec, mask, _ = env.reset()
-        done = env.outcome is not None
+        done = env.record is not None
         steps = 0
         total = 0.0
         while not done:
@@ -741,8 +755,8 @@ class TestRoundEnv:
             total += step_reward
             steps += 1
             assert steps < 600
-        assert env.outcome is not None
-        assert sum(env.outcome.coin_delta) == 0
+        assert env.record is not None
+        assert sum(env.record.coin_delta) == 0
 
     def test_valid_discard_rewards_plus_one(self):
         env = self.make_env(seed=11)
@@ -781,7 +795,9 @@ class TestRoundEnv:
             jhyap_values.append(obs.hand_value)
             return original_jhyap(agent, obs, rng)
 
+        # the learner's views are built in learning, the opponents' in the arena
         monkeypatch.setattr(learning, "observation_for", observation_spy)
+        monkeypatch.setattr(arena, "observation_for", observation_spy)
         monkeypatch.setattr(HeuristicAgent, "decide_jhyap", jhyap_spy)
         def counted(original):
             def decide(agent, obs, rng):
@@ -796,7 +812,7 @@ class TestRoundEnv:
         for _ in range(8):
             _, mask, _ = env.reset()
             learner_views += 1
-            done = env.outcome is not None
+            done = env.record is not None
             while not done:
                 _, mask, _, done, _ = env.step(int(np.flatnonzero(mask)[0]))
                 learner_views += 1
@@ -829,13 +845,13 @@ class TestRoundEnv:
     def test_settlement_added_to_final_reward(self):
         env = self.make_env(seed=13)
         state_vec, mask, _ = env.reset()
-        done = env.outcome is not None
+        done = env.record is not None
         rewards = []
         while not done:
             legal = np.flatnonzero(mask)
             state_vec, mask, step_reward, done, _ = env.step(int(legal[-1]))
             rewards.append(step_reward)
-        delta = env.outcome.coin_delta[0]  # the learner sits at seat 0
+        delta = env.record.coin_delta[0]  # the learner sits at seat 0
         base = rewards[-1] - delta
         assert base in (0.0, 1.0, -10.0)
 
@@ -942,6 +958,98 @@ class TestCheckpointSelect:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             checkpoint_select([])
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_no_validation_round_rejected(self, tmp_path, rounds):
+        path = self.write_checkpoint(tmp_path, "only.json", 1)
+        with pytest.raises(ValueError, match="rounds"):
+            checkpoint_select([path], [RandomAgent()], rounds=rounds, seed=3)
+
+
+OPPONENT_KINDS = ("aggressive", "conservative", "balanced", "opportunistic", "random")
+
+
+@pytest.fixture(scope="module")
+def learner_checkpoints(tmp_path_factory):
+    """A fresh DQN and two fresh PPO checkpoints."""
+    out = tmp_path_factory.mktemp("checkpoints")
+    paths = []
+    for kind, core_class, config, seed in [("dqn", DQNAgentCore, DQNConfig(), 5),
+                                           ("ppo", PPOAgentCore, PPOConfig(), 6),
+                                           ("ppo", PPOAgentCore, PPOConfig(), 7)]:
+        path = out / f"{kind}_{seed}.json"
+        save_learning_checkpoint(kind, core_class(config, seed=seed), path, episode=1)
+        paths.append(path)
+    return paths
+
+
+def roundenv_wins(agent, opponents, rounds: int, seed: int) -> int:
+    """The reference for checkpoint validation: the wins of ``agent`` at
+    seat 0 over ``rounds`` RoundEnv episodes, each step its greedy index."""
+    env = RoundEnv(opponents, random.Random(seed))
+    wins = 0
+    for _ in range(rounds):
+        state_vec, mask, _ = env.reset()
+        done = False
+        while not done:
+            state_vec, mask, _, done, _ = env.step(agent.greedy_index(state_vec, mask))
+        wins += env.record.winner_agent == 0
+    return wins
+
+
+def opponents_of(kinds):
+    return [build_agent(kind) for kind in kinds]
+
+
+class TestOneTurnLoop:
+    """RoundEnv and checkpoint validation play through the arena's round."""
+
+    @staticmethod
+    def comparable(record):
+        # the external seat counts no decisions, cards or step rewards, and
+        # decision times are the only nondeterminism of a record
+        return replace(record, decision_ms=None, decisions=record.decisions[1:],
+                       cards_discarded=record.cards_discarded[1:],
+                       rewards=record.rewards[1:])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           kinds=st.lists(st.sampled_from(OPPONENT_KINDS), min_size=1, max_size=4))
+    def test_greedy_episode_is_the_agents_round(self, seed, kinds):
+        core = PPOAgentCore(PPOConfig(), seed=seed)
+        agent = RLAgent("ppo", {"actor": core.actor, "critic": core.critic})
+        env = RoundEnv(opponents_of(kinds), random.Random(seed))
+        agents = [agent, *opponents_of(kinds)]
+        rng = random.Random(seed)
+        for _ in range(3):  # consecutive rounds also check that the draws match
+            state_vec, mask, _ = env.reset()
+            done = False
+            while not done:
+                state_vec, mask, _, done, _ = env.step(agent.greedy_index(state_vec, mask))
+            record = run_round(agents, range(len(agents)), rng)
+            assert self.comparable(env.record) == self.comparable(record)
+        assert env.rng.getstate() == rng.getstate()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           kinds=st.lists(st.sampled_from(OPPONENT_KINDS), min_size=1, max_size=4))
+    def test_validation_wins_are_the_roundenv_wins(self, learner_checkpoints, seed, kinds):
+        rounds = 3
+        played = []
+
+        def recorded(*args, **kwargs):
+            played.append(run_round(*args, **kwargs))
+            return played[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arena, "run_round", recorded)
+            checkpoint_select(learner_checkpoints, opponents_of(kinds), rounds=rounds,
+                              seed=seed)
+        wins = [sum(record.winner_agent == 0 for record in played[start:start + rounds])
+                for start in range(0, len(played), rounds)]
+        assert wins == [roundenv_wins(RLAgent.from_checkpoint(path), opponents_of(kinds),
+                                      rounds, seed)
+                        for path in learner_checkpoints]
 
 
 class TestRLAgentPlay:

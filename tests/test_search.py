@@ -620,12 +620,36 @@ def walk_nodes(root):
                 queue.append(stats.child)
 
 
+_TOTAL_REWARD = search.ActionStats.total_reward  # the slot
+
+
+class RecordingStats(search.ActionStats):
+    """``ActionStats`` that keeps every credit added to ``total_reward``."""
+
+    __slots__ = ("credits",)
+
+    @property
+    def total_reward(self):
+        return _TOTAL_REWARD.__get__(self)
+
+    @total_reward.setter
+    def total_reward(self, value):
+        if getattr(self, "credits", None) is None:  # __init__'s zero
+            self.credits = []
+        else:
+            self.credits.append(value - _TOTAL_REWARD.__get__(self))
+        _TOTAL_REWARD.__set__(self, value)
+
+
 class TestTreeInvariants:
+    @pytest.fixture(autouse=True)
+    def recording_stats(self, monkeypatch):
+        monkeypatch.setattr(search, "ActionStats", RecordingStats)
+
     def run_search(self):
         obs, belief = obvious_declare_obs_and_belief()
         cfg = SearchConfig(iterations=150, time_limit_ms=None)
         tree = search._TreeSearch(cfg, batch_legality=True)
-        tree.credit_log = []
         tree.decide(obs, belief, random.Random(8))
         return tree
 
@@ -636,15 +660,11 @@ class TestTreeInvariants:
 
     def test_means_are_recomputable_from_credits(self):
         tree = self.run_search()
-        credited: dict[tuple[int, object], list[float]] = {}
-        for node_id, action, value in tree.credit_log:
-            credited.setdefault((node_id, action), []).append(value)
         for node in walk_nodes(tree.last_root):
-            for action, stats in node.actions.items():
+            for stats in node.actions.values():
+                assert len(stats.credits) == stats.visits
                 if stats.visits:
-                    values = credited[(id(node), action)]
-                    assert len(values) == stats.visits
-                    assert stats.mean_reward == pytest.approx(fmean(values), abs=1e-9)
+                    assert stats.mean_reward == pytest.approx(fmean(stats.credits), abs=1e-9)
 
     def test_rewards_bounded_by_settlement_cap(self):
         tree = self.run_search()
