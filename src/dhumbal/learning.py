@@ -539,7 +539,7 @@ class RoundEnv:
             step_reward = 0.0 if isinstance(action, JhyapAction) else REWARD_VALID
 
         try:
-            self._round.send(action)
+            self.state = self._round.send(action)
         except StopIteration as end:
             self.record = end.value
             step_reward += float(self.record.coin_delta[0])

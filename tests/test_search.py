@@ -623,58 +623,117 @@ def walk_nodes(root):
 _TOTAL_REWARD = search.ActionStats.total_reward  # the slot
 
 
+class _Tally(float):
+    """A read of ``total_reward``: adding to it logs the addend itself."""
+
+    __slots__ = ("stats",)
+
+    def __add__(self, addend):
+        self.stats.credits.append(addend)
+        return float(self) + addend
+
+
 class RecordingStats(search.ActionStats):
-    """``ActionStats`` that keeps every credit added to ``total_reward``."""
+    """``ActionStats`` that keeps every credit added to ``total_reward``,
+    apart from the total, so an overwrite or a changed credit shows."""
 
     __slots__ = ("credits",)
 
+    def __init__(self):
+        self.credits = []
+        super().__init__()
+
     @property
     def total_reward(self):
-        return _TOTAL_REWARD.__get__(self)
+        tally = _Tally(_TOTAL_REWARD.__get__(self))
+        tally.stats = self
+        return tally
 
     @total_reward.setter
     def total_reward(self, value):
-        if getattr(self, "credits", None) is None:  # __init__'s zero
-            self.credits = []
-        else:
-            self.credits.append(value - _TOTAL_REWARD.__get__(self))
-        _TOTAL_REWARD.__set__(self, value)
+        _TOTAL_REWARD.__set__(self, float(value))
+
+
+def credit_counts(root):
+    return {
+        id(stats): len(stats.credits)
+        for node in walk_nodes(root)
+        for stats in node.actions.values()
+    }
 
 
 class TestTreeInvariants:
     @pytest.fixture(autouse=True)
     def recording_stats(self, monkeypatch):
+        """Credits recorded on each edge, and each iteration's credits
+        checked against the mean coin change of the settlements that
+        iteration reached: in the tree (``step``) or in playouts (a
+        playout cut at its depth counts as no change)."""
         monkeypatch.setattr(search, "ActionStats", RecordingStats)
+        results = []
 
-    def run_search(self):
-        obs, belief = obvious_declare_obs_and_belief()
-        cfg = SearchConfig(iterations=150, time_limit_ms=None)
-        tree = search._TreeSearch(cfg, batch_legality=True)
-        tree.decide(obs, belief, random.Random(8))
-        return tree
+        def recording_step(world, action):
+            outcome = engine.step(world, action)
+            if outcome is not None:
+                results.append(outcome.coin_delta)
+            return outcome
+
+        def recording_playout(world, rng, max_actions):
+            num_players = world.num_players
+            outcome = playout(world, rng, max_actions)
+            results.append(outcome.coin_delta if outcome is not None else (0,) * num_players)
+            return outcome
+
+        def checked_iteration(tree, root, root_actions, worlds, rng):
+            results.clear()
+            before = credit_counts(root)
+            run_iteration(tree, root, root_actions, worlds, rng)
+            mean_delta = [sum(deltas) / len(results) for deltas in zip(*results)]
+            for node in walk_nodes(root):
+                for stats in node.actions.values():
+                    for credit in stats.credits[before.get(id(stats), 0):]:
+                        assert credit == mean_delta[node.mover]
+
+        playout = search._playout_outcome
+        run_iteration = search._TreeSearch._run_iteration
+        monkeypatch.setattr(search, "step", recording_step)
+        monkeypatch.setattr(search, "_playout_outcome", recording_playout)
+        monkeypatch.setattr(search._TreeSearch, "_run_iteration", checked_iteration)
+
+    def searched_nodes(self):
+        """The nodes of trees searched from a one-level position and from
+        a fresh 3-player deal, whose tree has nodes of every seat."""
+        trackers = [BeliefTracker(seat, 3) for seat in range(3)]
+        state = engine.deal(3, random.Random(5), observers=[t.update for t in trackers])
+        while len(engine.legal_actions(state)) == 1:  # a forced decline
+            engine.step(state, engine.legal_actions(state)[0])
+        obs = engine.observation_for(state, state.current_player)
+        positions = [obvious_declare_obs_and_belief(),
+                     (obs, trackers[state.current_player].snapshot(obs))]
+        for obs, belief in positions:
+            cfg = SearchConfig(iterations=150, time_limit_ms=None)
+            tree = search._TreeSearch(cfg, batch_legality=True)
+            tree.decide(obs, belief, random.Random(8))
+            yield from walk_nodes(tree.last_root)
 
     def test_child_visits_bounded_by_node_visits(self):
-        tree = self.run_search()
-        for node in walk_nodes(tree.last_root):
+        for node in self.searched_nodes():
             assert sum(s.visits for s in node.actions.values()) <= node.visits
 
     def test_means_are_recomputable_from_credits(self):
-        tree = self.run_search()
-        for node in walk_nodes(tree.last_root):
+        for node in self.searched_nodes():
             for stats in node.actions.values():
                 assert len(stats.credits) == stats.visits
                 if stats.visits:
                     assert stats.mean_reward == pytest.approx(fmean(stats.credits), abs=1e-9)
 
     def test_rewards_bounded_by_settlement_cap(self):
-        tree = self.run_search()
-        for node in walk_nodes(tree.last_root):
+        for node in self.searched_nodes():
             for stats in node.actions.values():
                 assert -400.0 <= stats.mean_reward <= 400.0
 
     def test_tree_actions_were_legal_somewhere(self):
-        tree = self.run_search()
-        for node in walk_nodes(tree.last_root):
+        for node in self.searched_nodes():
             for stats in node.actions.values():
                 assert stats.avail_count >= 1
 
