@@ -131,9 +131,6 @@ class DiscardGroup(NamedTuple):
     def top(self) -> Card:
         return self.cards[-1]
 
-    def value(self) -> int:
-        return hand_value(self.cards)
-
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.cards)
 
@@ -583,19 +580,22 @@ def skip_jhyap(state: RoundState) -> None:
 def apply_discard(state: RoundState, group: DiscardGroup) -> None:
     """Remove the group's cards from the current hand and push it on the pile.
 
-    The group must be legal for the hand; the discarder cannot pick any of
-    these cards back this turn.
+    The group must be legal for the hand, its cards in canonical order (as
+    ``legal_actions`` lists it), since the pile top is its last card; the
+    discarder cannot pick any of these cards back this turn.
     """
     if state.phase is not _DISCARD:
         raise IllegalActionError("not in the Discard phase")
     player = state.players[state.current_player]
-    kind = classify_group(group.cards)
+    cards = group.cards
+    kind = classify_group(cards)
     if kind is None or kind != group.kind:
         raise IllegalActionError(f"not a legal discard group: {group}")
-    hand_set = set(player.hand)
-    if not set(group.cards) <= hand_set:
+    if len(cards) > 1 and list(cards) != sorted(cards):
+        raise IllegalActionError(f"discard group not in canonical order: {group}")
+    if not set(cards) <= set(player.hand):
         raise IllegalActionError(f"group contains cards not in hand: {group}")
-    for card in group.cards:
+    for card in cards:
         player.hand.remove(card)
     state.discard_stack.append(group)
     state.phase = _PICK

@@ -302,8 +302,8 @@ class DQNAgentCore:
         loss = float(np.mean(errors**2))
         grad_out = np.zeros_like(q)
         grad_out[rows, actions] = 2.0 * errors / cfg.batch_size
-        grads = nn.backward(self.net, cache, grad_out)
-        nn.adam_step(self.net, grads, self.optimizer)
+        nn.backward(self.net, cache, grad_out)
+        nn.adam_step(self.net, self.optimizer)
         self.train_steps += 1
         if self.train_steps % cfg.target_sync_every == 0:
             self.target_net.parameters[:] = self.net.parameters
@@ -459,17 +459,15 @@ def ppo_update(
             grad_logits = _actor_grad_logits(
                 probs, actions, advantages, ratios, cfg.clip_ratio, cfg.entropy_coef
             )
-            actor_grads = nn.backward(
-                core.actor, actor_cache, grad_logits, from_logits=True
-            )
-            nn.adam_step(core.actor, actor_grads, core.actor_opt)
+            nn.backward(core.actor, actor_cache, grad_logits)
+            nn.adam_step(core.actor, core.actor_opt)
 
             values, critic_cache = nn.forward_cache(core.critic, states)
             errors = values[:, 0] - returns
             value_loss = float(np.mean(errors**2))
             grad_values = (cfg.value_coef * 2.0 * errors / len(rows))[:, None]
-            critic_grads = nn.backward(core.critic, critic_cache, grad_values)
-            nn.adam_step(core.critic, critic_grads, core.critic_opt)
+            nn.backward(core.critic, critic_cache, grad_values)
+            nn.adam_step(core.critic, core.critic_opt)
 
             policy_losses.append(surrogate)
             value_losses.append(value_loss)

@@ -3,7 +3,8 @@ and the JSON documents that learning checkpoints store networks in.
 
 Sized for small policy/value heads (117-128-64-128); float64 throughout
 so repeated runs stay bit-identical. Inputs may be single vectors or
-batches (rows); gradients are exact sums over the supplied batch.
+batches (rows); gradients are exact sums over the supplied batch. A
+layer is ``relu`` or ``linear``; ``learning`` masks a policy's softmax.
 
 A ``DenseNet`` owns two flat float64 vectors of one length,
 ``parameters`` and ``gradients``, both laid out layer by layer: a
@@ -57,7 +58,7 @@ def _lazy_import(name: str):
 
 np = _lazy_import("numpy")
 
-ACTIVATIONS = ("relu", "linear", "softmax")
+ACTIVATIONS = ("relu", "linear")
 
 
 class CheckpointError(ValueError):
@@ -133,14 +134,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "linear":
-        return z
-    return softmax(z)
-
-
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Composed affine+activation pass; shape follows the input."""
     out, _ = forward_cache(net, x)
@@ -163,37 +156,22 @@ def forward_cache(net: DenseNet, x: np.ndarray):
         inputs.append(a)
         z = a @ layer.weights.T + layer.biases
         pre.append(z)
-        a = _activate(z, layer.activation)
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
     out = a[0] if squeeze else a
     return out, (inputs, pre, squeeze)
 
 
-def backward(net: DenseNet, cache, grad_output: np.ndarray, *, from_logits: bool = False):
-    """Exact parameter gradients given dL/d(output).
-
-    ``from_logits`` treats ``grad_output`` as dL/dz of the final layer,
-    skipping the last activation derivative (how the policy losses feed
-    masked log-softmax gradients straight into the net).
-    Writes one (dW, db) pair per layer, summed over the batch, into
-    ``net.layer_gradients`` and returns that list.
-    """
+def backward(net: DenseNet, cache, grad_output: np.ndarray):
+    """Exact parameter gradients given dL/d(output). Writes one (dW, db)
+    pair per layer, summed over the batch, into ``net.layer_gradients`` and
+    returns that list."""
     inputs, pre, squeeze = cache
     grad = np.asarray(grad_output, dtype=np.float64)
     if squeeze:
         grad = grad[None, :]
-    last = len(net.layers) - 1
-    for index in range(last, -1, -1):
+    for index in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[index]
-        z = pre[index]
-        if from_logits and index == last:
-            dz = grad
-        elif layer.activation == "relu":
-            dz = grad * (z > 0.0)
-        elif layer.activation == "linear":
-            dz = grad
-        else:  # softmax Jacobian-vector product: p * (g - (g . p))
-            p = softmax(z)
-            dz = p * (grad - np.sum(grad * p, axis=-1, keepdims=True))
+        dz = grad * (pre[index] > 0.0) if layer.activation == "relu" else grad
         dw, db = net.layer_gradients[index]
         np.matmul(dz.T, inputs[index], out=dw)
         np.sum(dz, axis=0, out=db)
@@ -223,15 +201,10 @@ def adam_init(net: DenseNet, lr: float = 1e-4) -> AdamState:
                      scratch=np.empty_like(flat), lr=lr)
 
 
-def adam_step(net: DenseNet, grads, state: AdamState) -> None:
-    """One in-place Adam update of the whole parameter vector. ``grads`` is
-    what ``backward`` returned for ``net``, or one (dW, db) pair per layer,
-    which is first copied into the net's gradient vector. Either way the
-    gradients are consumed."""
-    if grads is not net.layer_gradients:
-        for (gw, gb), (dw, db) in zip(grads, net.layer_gradients):
-            dw[...] = gw
-            db[...] = gb
+def adam_step(net: DenseNet, state: AdamState) -> None:
+    """One in-place Adam update of the whole parameter vector from the
+    net's gradient vector, as ``backward`` wrote it; the gradients are
+    consumed."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**state.step

@@ -14,18 +14,20 @@ Every sampled world moves through ``engine.step``, so the tree plays by
 the engine's own rules. At the root each world shows the mover's own hand,
 stock size and pile, so its legal actions are the observation's and the
 tree takes them once per decision; below the root each world takes its
-candidates from ``engine.legal_actions``. Rollouts play uniformly random
-legal actions to a terminal settlement in ``_playout_outcome``, a fast
-path tested against ``step``, and score positions by each player's coin
-change. The playout plays the engine's sorted hands in place, keeps
+candidates from ``engine.legal_actions``. A node's statistics belong to
+its mover (Cowling, Powley & Whitehouse's ISMCTS), so a child is built
+once, from the worlds that survive its action. Rollouts play uniformly
+random legal actions in ``_playout_outcome``, a fast path tested against
+``step``, until the engine settles the round, and score positions by
+each player's coin change. The playout plays the engine's sorted hands in place, keeps
 their running weight sums and draws discards through the engine's count
 and pick (``draw_discard_index``, ``discard_at``). ``determinize`` keeps
 what does not depend on its draws in the belief's ``deal_plan``, so a
 decision works it out once, and deals sorted opponent hands with
-``rng.sample``'s draws without its overhead. Property tests hold the playout to ``step`` with the
-same draws and the same final state, and the sampler to ``rng.sample``;
-golden digests pin determinized worlds and their playouts for fixed
-beliefs and seeds.
+``rng.sample``'s draws without its overhead. Property tests hold the
+playout to ``step`` with the same draws and the same final state, and
+the sampler to ``rng.sample``; golden digests pin determinized worlds
+and their playouts for fixed beliefs and seeds.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .engine import (
     Card,
     Discarded,
     DiscardGroup,
-    EndReason,
     FULL_DECK,
     GameError,
     JHYAP_THRESHOLD,
@@ -64,7 +65,6 @@ from .engine import (
     _SINGLE_GROUPS,
     _SUIT_WEIGHT,
     _reshuffle_into_stock,
-    _settle_showdown,
     discard_at,
     draw_discard_index,
     legal_actions,
@@ -266,16 +266,6 @@ def determinize(
     return state
 
 
-def ucb_score(mean: float, parent_visits: int, visits: int, legal: int, total: int,
-              exploration_c: float) -> float:
-    """UCB1 with the exploration term scaled by the legality fraction."""
-    if visits == 0:
-        return math.inf
-    return mean + exploration_c * (legal / total) * math.sqrt(
-        math.log(parent_visits) / visits
-    )
-
-
 def _playout_outcome(
     state: RoundState, rng: random.Random, max_actions: int
 ) -> Optional[RoundOutcome]:
@@ -294,7 +284,8 @@ def _playout_outcome(
     single and ``engine.discard_at`` only for a set or run; a pick is an
     ``insort``, as in ``engine.apply_pick``. The stock and the pile stay the
     state's own lists, so pile groups no action touched are kept as they
-    are, and a settlement reads the final state.
+    are. The engine settles the final state: ``resolve_jhyap`` after a
+    declaration, otherwise ``round_termination`` (None at the cap).
     """
     outcome = round_termination(state)
     if outcome is not None:
@@ -321,11 +312,11 @@ def _playout_outcome(
     # the mover's hand, value and sums, stored back when the turn passes
     hand, value = hands[seat], values[seat]
     ranks, suits = rank_sums[seat], suit_sums[seat]
-    end: Optional[EndReason] = None
+    declared = False
     for _ in range(max_actions):
         if phase is _JHYAP_CHECK:
             if value <= JHYAP_THRESHOLD and draw() < 0.5:
-                end = EndReason.JHYAP_SHOWDOWN
+                declared = True
                 break
             phase = _DISCARD
         elif phase is _DISCARD:
@@ -346,11 +337,7 @@ def _playout_outcome(
                     ranks -= _RANK_WEIGHT[card]
                     suits -= _SUIT_WEIGHT[card]
             phase = _PICK
-            if not hand:
-                end = EndReason.EMPTY_HAND
-                break
-            if not stock and len(pile) < 2:
-                end = EndReason.DECK_EXHAUSTED
+            if not hand or (not stock and len(pile) < 2):
                 break
         else:
             if len(pile) >= 2 and draw() < 0.5:
@@ -381,17 +368,10 @@ def _playout_outcome(
             turn += 1
             phase = _JHYAP_CHECK
             if turn >= turn_limit:
-                end = EndReason.TURN_LIMIT
                 break
 
     state.current_player, state.phase, state.turn_count = seat, phase, turn
-    if end is None:
-        return None
-    if end is EndReason.JHYAP_SHOWDOWN:
-        return resolve_jhyap(state)
-    if end is EndReason.EMPTY_HAND:
-        return RoundOutcome(seat, _settle_showdown(state, seat), end)
-    return RoundOutcome(None, (0,) * n, end)
+    return resolve_jhyap(state) if declared else round_termination(state)
 
 
 class ActionStats:
@@ -441,25 +421,17 @@ class _TreeSearch:
             return root_actions[0]
         root = InfoNode(observation.seat)
         self.last_root = root
-        deadline = (
-            time.perf_counter() + self.cfg.time_limit_ms / 1000.0
-            if self.cfg.time_limit_ms is not None
-            else None
-        )
+        limit = self.cfg.time_limit_ms
+        deadline = None if limit is None else time.perf_counter() + limit / 1000.0
         d = self.cfg.determinizations
         for _ in range(self.cfg.iterations):
-            if deadline is not None and time.perf_counter() > deadline:
-                break
             worlds = [determinize(belief, observation, rng) for _ in range(d)]
             self._run_iteration(root, root_actions, worlds, rng)
-        best = max(
-            root_actions,
-            key=lambda a: (
-                root.actions[a].visits if a in root.actions else 0,
-                root.actions[a].mean_reward if a in root.actions else -math.inf,
-            ),
-        )
-        return best
+            # read after each iteration: every search runs at least one
+            if deadline is not None and time.perf_counter() > deadline:
+                break
+        stats = root.actions
+        return max(root_actions, key=lambda a: (stats[a].visits, stats[a].mean_reward))
 
     def _run_iteration(
         self,
@@ -475,7 +447,6 @@ class _TreeSearch:
         node = root
         live = worlds
         while True:
-            node.mover = live[0].current_player
             if node is root:
                 # every world shows the mover's own hand, stock size and
                 # pile, so each one's legal set is the observation's
@@ -519,8 +490,12 @@ class _TreeSearch:
                 else:
                     survivors.append(world)
             live = survivors
+            if not live:
+                break
 
             stats = node.actions[action]
+            if stats.child is None:  # its mover, before a playout moves on
+                stats.child = InfoNode(live[0].current_player)
             if expanding:
                 for world in live:
                     outcome = _playout_outcome(world, rng, cfg.max_rollout_depth)
@@ -529,13 +504,7 @@ class _TreeSearch:
                         if outcome is not None
                         else (0,) * world.num_players
                     )
-                if stats.child is None and live:
-                    stats.child = InfoNode(live[0].current_player)
                 break
-            if not live:
-                break
-            if stats.child is None:
-                stats.child = InfoNode(live[0].current_player)
             node = stats.child
 
         if not results:
@@ -555,10 +524,10 @@ class _TreeSearch:
         legal_counts: dict[Action, int],
         d: int,
     ) -> Action:
-        """The first candidate of highest ``ucb_score``, with ``log(N)``
-        taken once for the node and each score in ``ucb_score``'s float
-        order, so the scores and the choice are ``ucb_score``'s own. The
-        tree selects only once every candidate has a visit."""
+        """The first candidate of highest UCB score, with ``log(N)`` taken
+        once for the node and each score in the float order of the
+        reference ``ucb_score`` in ``tests/test_search.py``. The tree
+        selects only once every candidate has a visit."""
         log_visits = math.log(max(node.visits, 1))
         exploration_c = self.cfg.exploration_c
         batch_legality = self.batch_legality

@@ -63,6 +63,18 @@ def clone_state(state: RoundState, rng=None) -> RoundState:
     return copy
 
 
+def state_snapshot(state: RoundState):
+    """Everything an action can change in a state, as plain values."""
+    return (
+        [(list(p.hand), p.coins) for p in state.players],
+        list(state.stock),
+        list(state.discard_stack),
+        state.current_player,
+        state.turn_count,
+        state.phase,
+    )
+
+
 def make_obs(
     own,
     pile_groups,

@@ -478,6 +478,21 @@ class TestUnusablePaths:
         assert capsys.readouterr().err.startswith(f"dhumbal: cannot use {path}: ")
         assert not round_calls and not (tmp_path / "out").exists()
 
+    def test_checkpoint_with_a_softmax_layer(self, tmp_path, capsys, round_calls):
+        """Layers are relu or linear; a network document with another
+        activation is a checkpoint error."""
+        path = tmp_path / "ppo.json"
+        learning.save_learning_checkpoint(
+            "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=3), path, 1)
+        doc = json.loads(path.read_text())
+        doc["actor"]["activations"][-1] = "softmax"
+        path.write_text(json.dumps(doc))
+        assert run_cli("championship", "--rounds", 2, "--checkpoint", path,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dhumbal: ") and "'softmax'" in err
+        assert not round_calls and not (tmp_path / "out").exists()
+
 
 class TestChampionshipCommand:
     def test_requires_checkpoint(self, tmp_path):

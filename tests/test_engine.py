@@ -3,7 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from dhumbal.engine import (
     PickSource,
     Suit,
 )
-from helpers import make_group, patterned_hands
+from helpers import clone_state, make_group, patterned_hands, state_snapshot
 
 SUIT_BY_LETTER = {"C": Suit.CLUBS, "D": Suit.DIAMONDS, "H": Suit.HEARTS, "S": Suit.SPADES}
 RANK_BY_SYMBOL = {"A": 1, "J": 11, "Q": 12, "K": 13, **{str(r): r for r in range(2, 11)}}
@@ -400,6 +400,22 @@ class TestDiscard:
         # settles as a showdown at hand value 0: opponent pays min(63, 100)
         assert outcome.coin_delta == (63, -63)
 
+    def test_run_out_of_order_rejected(self):
+        """A run listed out of order would leave a middle card as the pile
+        top the next player may take."""
+        state = fixed_state(
+            [cards("3H", "4H", "5H", "KC"), cards("KH", "KD")],
+            stock=[card for card in engine.FULL_DECK if card not in cards(
+                "3H", "4H", "5H", "KC", "KH", "KD", "9C")],
+            pile=[single(c("9C"))],
+        )
+        state.phase = Phase.DISCARD
+        with pytest.raises(IllegalActionError, match="canonical order"):
+            engine.apply_discard(
+                state, DiscardGroup(GroupKind.SEQUENCE, tuple(cards("5H", "3H", "4H"))))
+        assert state.players[0].hand == cards("3H", "4H", "5H", "KC")
+        assert state.discard_stack == [single(c("9C"))] and state.phase is Phase.DISCARD
+
 
 class TestPick:
     def make_pick_state(self, stock_cards):
@@ -719,6 +735,29 @@ class TestStep:
         outcome = engine.step(state, single(c("KS")))
         assert outcome.end_reason is EndReason.EMPTY_HAND
         assert outcome.coin_delta == (-7, 7)  # 2D + 5H
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), num_players=st.integers(2, 5))
+    def test_legal_actions_step_and_permuted_groups_raise(self, seed, num_players):
+        """On every live state of a random round, each legal action steps
+        on a clone, and each multi-card group with its cards out of
+        canonical order raises and leaves the state as it was."""
+        rng = random.Random(seed)
+        state = engine.deal(num_players, rng, turn_limit=40)
+        outcome = None
+        while outcome is None:
+            legal = engine.legal_actions(state)
+            for action in legal:
+                engine.step(clone_state(state, random.Random(0)), action)
+                if not isinstance(action, DiscardGroup) or len(action.cards) < 2:
+                    continue
+                before = state_snapshot(state)
+                for order in permutations(action.cards):
+                    if list(order) != list(action.cards):
+                        with pytest.raises(IllegalActionError):
+                            engine.step(state, DiscardGroup(action.kind, order))
+                        assert state_snapshot(state) == before
+            outcome = engine.step(state, legal[rng.randrange(len(legal))])
 
 
 class TestFullRoundInvariants:

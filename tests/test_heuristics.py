@@ -24,9 +24,14 @@ BALANCED = make_profile("balanced")
 OPPORTUNISTIC = make_profile("opportunistic")
 
 
+def group_value(group) -> int:
+    """The summed card values of a discard group."""
+    return engine.hand_value(group.cards)
+
+
 def discard_score(hand, group, profile) -> float:
     """The card-level score of one candidate discard; higher is better."""
-    return heuristics._score(engine.hand_value(hand), group.value(), len(group.cards),
+    return heuristics._score(engine.hand_value(hand), group_value(group), len(group.cards),
                              group.kind is GroupKind.SEQUENCE, profile)
 
 
@@ -40,7 +45,7 @@ def conservative_candidates(hand, groups):
     kept = [
         g
         for g in groups
-        if total - g.value() <= 7 or all(card.rank != low_rank for card in g.cards)
+        if total - group_value(g) <= 7 or all(card.rank != low_rank for card in g.cards)
     ]
     return kept or groups
 
@@ -114,7 +119,7 @@ class TestDiscardScore:
         hand = rng.sample(engine.FULL_DECK, 5)
         singles = [g for g in engine.enumerate_legal_discards(hand) if len(g.cards) == 1]
         scores = [discard_score(hand, g, AGGRESSIVE) for g in singles]
-        values = [g.value() for g in singles]
+        values = [group_value(g) for g in singles]
         for (va, sa), (vb, sb) in zip(zip(values, scores), list(zip(values, scores))[1:]):
             if va <= vb:
                 assert sa <= sb + 1e-12
@@ -251,9 +256,9 @@ def reference_discard(profile, observation):
     if profile.selective_low_discards:
         groups = conservative_candidates(hand, groups)
     if profile.length_first_discards:
-        key = lambda g: (len(g.cards), discard_score(hand, g, profile), g.value())
+        key = lambda g: (len(g.cards), discard_score(hand, g, profile), group_value(g))
     else:
-        key = lambda g: (discard_score(hand, g, profile), len(g.cards), g.value())
+        key = lambda g: (discard_score(hand, g, profile), len(g.cards), group_value(g))
     return max(groups, key=key)
 
 

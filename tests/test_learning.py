@@ -360,8 +360,8 @@ def reference_train_step(core, items: deque, rng: random.Random):
     loss = float(np.mean(errors**2))
     grad_out = np.zeros_like(q)
     grad_out[np.arange(len(batch)), actions] = 2.0 * errors / len(batch)
-    grads = nn.backward(core.net, cache, grad_out)
-    nn.adam_step(core.net, grads, core.optimizer)
+    nn.backward(core.net, cache, grad_out)
+    nn.adam_step(core.net, core.optimizer)
     core.train_steps += 1
     if core.train_steps % cfg.target_sync_every == 0:
         core.target_net = core.net.copy()

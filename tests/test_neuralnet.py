@@ -50,7 +50,7 @@ def analytic_grads_flat(net, x, probe):
     return flat
 
 
-def reference_backward(net, cache, grad_output, *, from_logits=False):
+def reference_backward(net, cache, grad_output):
     """The per-layer backward pass the flat one must equal bit for bit:
     fresh (dW, db) arrays per layer."""
     inputs, pre, squeeze = cache
@@ -60,16 +60,10 @@ def reference_backward(net, cache, grad_output, *, from_logits=False):
     grads = [None] * len(net.layers)
     for index in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[index]
-        z = pre[index]
-        if from_logits and index == len(net.layers) - 1:
-            dz = grad
-        elif layer.activation == "relu":
-            dz = grad * (z > 0.0)
-        elif layer.activation == "linear":
-            dz = grad
+        if layer.activation == "relu":
+            dz = grad * (pre[index] > 0.0)
         else:
-            p = nn.softmax(z)
-            dz = p * (grad - np.sum(grad * p, axis=-1, keepdims=True))
+            dz = grad
         grads[index] = (dz.T @ inputs[index], dz.sum(axis=0))
         grad = dz @ layer.weights
     return grads
@@ -113,8 +107,7 @@ def flat_bytes(pairs) -> bytes:
     return b"".join(a.tobytes() for pair in pairs for a in pair)
 
 
-def assert_trains_like_reference(net, loss_grad, rng, *, steps=20, batch=8,
-                                 from_logits=False, lr=1e-3):
+def assert_trains_like_reference(net, loss_grad, rng, *, steps=20, batch=8, lr=1e-3):
     """Train ``net`` and a per-layer reference copy side by side on the same
     random batches; after every step the parameters, both moments and the
     gradients are byte-equal."""
@@ -127,12 +120,11 @@ def assert_trains_like_reference(net, loss_grad, rng, *, steps=20, batch=8,
         reference_out, reference_cache = nn.forward_cache(reference, x)
         assert out.tobytes() == reference_out.tobytes()
         grad_output = loss_grad(out)
-        grads = nn.backward(net, cache, grad_output, from_logits=from_logits)
-        reference_grads = reference_backward(reference, reference_cache, grad_output,
-                                             from_logits=from_logits)
+        grads = nn.backward(net, cache, grad_output)
+        reference_grads = reference_backward(reference, reference_cache, grad_output)
         assert flat_bytes(grads) == flat_bytes(reference_grads)
         assert net.gradients.tobytes() == flat_bytes(reference_grads)
-        nn.adam_step(net, grads, state)
+        nn.adam_step(net, state)
         reference_adam_step(reference, reference_grads, reference_state)
         assert state.step == reference_state.step
         assert net.parameters.tobytes() == flat_bytes(
@@ -204,7 +196,7 @@ class TestBitIdenticalToPerLayerReference:
         rng = np.random.default_rng(18)
         net = nn.init_net((117, 128, 64, 128), ("relu", "relu", "linear"), rng)
         assert_trains_like_reference(net, lambda logits: rng.normal(size=logits.shape) / 16,
-                                     rng, steps=25, batch=16, from_logits=True, lr=1e-4)
+                                     rng, steps=25, batch=16, lr=1e-4)
 
     def test_ppo_critic(self):
         rng = np.random.default_rng(19)
@@ -214,7 +206,7 @@ class TestBitIdenticalToPerLayerReference:
 
     def test_single_row_batch(self):
         rng = np.random.default_rng(20)
-        net = random_net(rng, dims=(5, 4, 3), activations=("relu", "softmax"))
+        net = random_net(rng, dims=(5, 4, 3), activations=("relu", "relu"))
         reference = reference_net(net)
         x = rng.normal(size=5)
         _, cache = nn.forward_cache(net, x)
@@ -222,23 +214,6 @@ class TestBitIdenticalToPerLayerReference:
         probe = rng.normal(size=3)
         assert flat_bytes(nn.backward(net, cache, probe)) == flat_bytes(
             reference_backward(reference, reference_cache, probe))
-
-    def test_hand_built_gradients(self):
-        """A list of (dW, db) arrays that ``backward`` did not write is
-        copied in and gives the reference's update; the arrays are kept."""
-        rng = np.random.default_rng(21)
-        net = random_net(rng, dims=(6, 5, 3))
-        reference = reference_net(net)
-        state, reference_state = nn.adam_init(net), reference_adam_init(net)
-        for _ in range(20):
-            grads = [(rng.normal(size=layer.weights.shape), rng.normal(size=layer.biases.shape))
-                     for layer in net.layers]
-            kept = flat_bytes(grads)
-            nn.adam_step(net, grads, state)
-            reference_adam_step(reference, grads, reference_state)
-            assert flat_bytes(grads) == kept
-            assert net.parameters.tobytes() == flat_bytes(
-                (layer.weights, layer.biases) for layer in reference.layers)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -269,11 +244,6 @@ class TestForward:
         net = nn.DenseNet([nn.Layer(np.eye(3), np.zeros(3), "linear")])
         x = np.array([0.5, -2.0, 7.0])
         assert np.allclose(nn.forward(net, x), x)
-
-    def test_softmax_of_equal_logits_is_uniform(self):
-        net = nn.DenseNet([nn.Layer(np.zeros((128, 4)), np.zeros(128), "softmax")])
-        out = nn.forward(net, np.ones(4))
-        assert np.allclose(out, 1.0 / 128)
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(0)
@@ -313,7 +283,7 @@ class TestSoftmax:
 class TestBackward:
     @pytest.mark.parametrize(
         "activations",
-        [("relu", "linear"), ("relu", "softmax"), ("linear", "relu"), ("relu", "relu")],
+        [("relu", "linear"), ("linear", "linear"), ("linear", "relu"), ("relu", "relu")],
     )
     def test_matches_finite_differences(self, activations):
         rng = np.random.default_rng(42)
@@ -346,25 +316,6 @@ class TestBackward:
         assert np.allclose(dw, np.outer(2.0 * (pred - target), x))
         assert np.allclose(db, 2.0 * (pred - target))
 
-    def test_from_logits_skips_final_activation(self):
-        rng = np.random.default_rng(11)
-        net = random_net(rng, activations=("relu", "softmax"))
-        x = rng.normal(size=4)
-        out, cache = nn.forward_cache(net, x)
-        grad_logits = rng.normal(size=2)
-        direct = nn.backward(net, cache, grad_logits, from_logits=True)
-        # equivalent linear-output network sees the same gradients
-        twin = nn.DenseNet(
-            [
-                nn.Layer(net.layers[0].weights.copy(), net.layers[0].biases.copy(), "relu"),
-                nn.Layer(net.layers[1].weights.copy(), net.layers[1].biases.copy(), "linear"),
-            ]
-        )
-        _, twin_cache = nn.forward_cache(twin, x)
-        expected = nn.backward(twin, twin_cache, grad_logits)
-        for (dw_a, db_a), (dw_b, db_b) in zip(direct, expected):
-            assert np.allclose(dw_a, dw_b) and np.allclose(db_a, db_b)
-
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
@@ -372,8 +323,8 @@ class TestAdam:
         net = random_net(rng)
         before = [layer.weights.copy() for layer in net.layers]
         state = nn.adam_init(net)
-        zero = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-        nn.adam_step(net, zero, state)
+        net.gradients[:] = 0.0
+        nn.adam_step(net, state)
         assert state.step == 1
         for layer, kept in zip(net.layers, before):
             assert np.array_equal(layer.weights, kept)
@@ -381,8 +332,8 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         net = nn.DenseNet([nn.Layer(np.zeros((1, 1)), np.zeros(1), "linear")])
         state = nn.adam_init(net, lr=1e-3)
-        grads = [(np.array([[0.37]]), np.array([0.0]))]
-        nn.adam_step(net, grads, state)
+        net.gradients[:] = (0.37, 0.0)  # dW, then db
+        nn.adam_step(net, state)
         # bias-corrected first step moves by ~lr regardless of gradient scale
         assert abs(net.layers[0].weights[0, 0]) == pytest.approx(1e-3, rel=1e-6)
 
@@ -394,8 +345,8 @@ class TestAdam:
             x = np.ones(4)
             for _ in range(50):
                 out, cache = nn.forward_cache(net, x)
-                grads = nn.backward(net, cache, out)  # pull outputs to zero
-                nn.adam_step(net, grads, state)
+                nn.backward(net, cache, out)  # pull outputs to zero
+                nn.adam_step(net, state)
             return [layer.weights.copy() for layer in net.layers]
 
         first, second = run(), run()
@@ -471,6 +422,6 @@ class TestXorTraining:
             loss = float(np.mean(error**2))
             if loss < 0.05:
                 break
-            grads = nn.backward(net, cache, 2.0 * error / len(inputs))
-            nn.adam_step(net, grads, state)
+            nn.backward(net, cache, 2.0 * error / len(inputs))
+            nn.adam_step(net, state)
         assert loss < 0.05, f"XOR failed to converge: loss {loss} at step {step}"

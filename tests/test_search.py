@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations
 from statistics import fmean
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,19 @@ from dhumbal.search import (
     determinize,
     ismcts_decide,
     mcts_decide,
-    ucb_score,
 )
-from helpers import c, cards, clone_state, make_group, make_obs, single
+from helpers import c, cards, clone_state, make_group, make_obs, single, state_snapshot
+
+
+def ucb_score(mean: float, parent_visits: int, visits: int, legal: int, total: int,
+              exploration_c: float) -> float:
+    """UCB1 with the exploration term scaled by the legality fraction: the
+    reference score ``_TreeSearch._select`` must rank by, float for float."""
+    if visits == 0:
+        return math.inf
+    return mean + exploration_c * (legal / total) * math.sqrt(
+        math.log(parent_visits) / visits
+    )
 
 
 class TestUcbScore:
@@ -342,17 +353,6 @@ def step_playout(state, rng, cap):
     return outcome
 
 
-def state_snapshot(state):
-    return (
-        [(list(p.hand), p.coins) for p in state.players],
-        list(state.stock),
-        list(state.discard_stack),
-        state.current_player,
-        state.turn_count,
-        state.phase,
-    )
-
-
 class TestRollout:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -513,6 +513,28 @@ class TestSearchDecisions:
         cfg = SearchConfig(iterations=10_000, time_limit_ms=50)
         action = ismcts_decide(obs, belief, cfg, random.Random(2))
         assert action in (JhyapAction.DECLARE, JhyapAction.DECLINE)
+
+    @pytest.mark.parametrize("decide", [mcts_decide, ismcts_decide])
+    def test_expired_deadline_still_runs_one_iteration(self, decide, monkeypatch):
+        """The deadline is read after each iteration: with a clock that is
+        past it from the first read on, the search runs once and returns
+        the action that iteration visited."""
+        readings = iter([0.0])  # the deadline's own reading; every later one is past it
+        monkeypatch.setattr(search, "time",
+                            SimpleNamespace(perf_counter=lambda: next(readings, 1e9)))
+        roots = []
+        run_iteration = search._TreeSearch._run_iteration
+
+        def counted(tree, root, *args):
+            roots.append(root)
+            run_iteration(tree, root, *args)
+
+        monkeypatch.setattr(search._TreeSearch, "_run_iteration", counted)
+        obs, belief = obvious_declare_obs_and_belief()
+        cfg = SearchConfig(iterations=100, time_limit_ms=1)
+        action = decide(obs, belief, cfg, random.Random(2))
+        assert len(roots) == 1
+        assert roots[0].actions[action].visits == 1
 
 
 class TestSearchConfig:
@@ -736,6 +758,34 @@ class TestTreeInvariants:
         for node in self.searched_nodes():
             for stats in node.actions.values():
                 assert stats.avail_count >= 1
+
+    @pytest.mark.parametrize("batch_legality", [False, True], ids=["mcts", "ismcts"])
+    def test_children_belong_to_the_seat_that_acts_next(self, batch_legality):
+        """A node's statistics are its mover's: after a pick the next seat
+        moves, after any other action the same one, whatever the worlds'
+        playouts did after the child was built."""
+        for num_players in range(2, 6):
+            trackers = [BeliefTracker(seat, num_players) for seat in range(num_players)]
+            state = engine.deal(num_players, random.Random(num_players),
+                                observers=[t.update for t in trackers])
+            while len(engine.legal_actions(state)) == 1:  # a forced decline
+                engine.step(state, engine.legal_actions(state)[0])
+            seat = state.current_player
+            obs = engine.observation_for(state, seat)
+            cfg = SearchConfig(iterations=60, determinizations=3 if batch_legality else 1,
+                               time_limit_ms=None)
+            tree = search._TreeSearch(cfg, batch_legality)
+            tree.decide(obs, trackers[seat].snapshot(obs), random.Random(8))
+            assert tree.last_root.mover == seat
+            children = 0
+            for node in walk_nodes(tree.last_root):
+                for action, stats in node.actions.items():
+                    if stats.child is not None:
+                        passes = isinstance(action, PickSource)
+                        expected = (node.mover + passes) % num_players
+                        assert stats.child.mover == expected, (num_players, action)
+                        children += 1
+            assert children > 1
 
 
 class TestSearchAgentFlow:
