@@ -12,9 +12,11 @@ observations that hide opponent hands. The callables passed to ``deal``
 as ``observers`` receive each public event while the ``apply_*`` op that
 makes it runs; a round with no observers builds no events. Every player of
 a round, whatever the agent, moves through ``step`` and chooses among
-``legal_actions``; ``ask`` is the one place that turns the phase into an
-agent's ``decide_*`` call, and ``forced_decline`` names the one move nobody
-is asked for.
+``legal_actions``, whose rules are the only legality rules: each
+``apply_*`` op refuses what they do not list, so ``step`` accepts exactly
+what ``legal_actions`` lists. ``ask`` is the one place that turns the
+phase into an agent's ``decide_*`` call, and ``forced_decline`` names the
+one move nobody is asked for.
 
 A ``Card`` is an int, its code ``(rank - 1) * 4 + suit`` (0..51, in card
 order), so it indexes the engine's per-card tables as it is. Every hand
@@ -133,33 +135,6 @@ class DiscardGroup(NamedTuple):
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.cards)
-
-
-def is_valid_sequence(cards: Sequence[Card]) -> bool:
-    """True iff >=3 cards of one suit with strictly consecutive ranks.
-
-    Ace counts only as rank 1, so Q-K-A never validates.
-    """
-    if len(cards) < 3:
-        return False
-    suit = cards[0].suit
-    if any(card.suit != suit for card in cards):
-        return False
-    ranks = sorted(card.rank for card in cards)
-    return all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
-
-
-def classify_group(cards: Sequence[Card]) -> Optional[GroupKind]:
-    """Kind of a candidate discard, or None if the cards form no legal group."""
-    if len(cards) == 0 or len(set(cards)) != len(cards):
-        return None
-    if len(cards) == 1:
-        return _SINGLE
-    if all(card.rank == cards[0].rank for card in cards):
-        return _SET
-    if is_valid_sequence(cards):
-        return _SEQUENCE
-    return None
 
 
 # Per-rank and per-suit weights per card. Summed over a hand, the rank
@@ -571,7 +546,7 @@ def _publish(state: RoundState, event: PublicEvent) -> None:
 
 
 def skip_jhyap(state: RoundState) -> None:
-    """Decline (or be ineligible for) a declaration; move to the Discard phase."""
+    """Play DECLINE, listed at every Jhyap check; open the Discard phase."""
     if state.phase is not _JHYAP_CHECK:
         raise IllegalActionError("can only pass on Jhyap at the start of a turn")
     state.phase = _DISCARD
@@ -580,23 +555,17 @@ def skip_jhyap(state: RoundState) -> None:
 def apply_discard(state: RoundState, group: DiscardGroup) -> None:
     """Remove the group's cards from the current hand and push it on the pile.
 
-    The group must be legal for the hand, its cards in canonical order (as
-    ``legal_actions`` lists it), since the pile top is its last card; the
-    discarder cannot pick any of these cards back this turn.
+    Legal only as ``legal_actions`` lists it, card order included, since
+    the pile top is its last card; a single is looked up as the enumeration
+    lists it. The discarder cannot pick these cards back this turn.
     """
-    if state.phase is not _DISCARD:
-        raise IllegalActionError("not in the Discard phase")
-    player = state.players[state.current_player]
+    hand = state.players[state.current_player].hand
     cards = group.cards
-    kind = classify_group(cards)
-    if kind is None or kind != group.kind:
-        raise IllegalActionError(f"not a legal discard group: {group}")
-    if len(cards) > 1 and list(cards) != sorted(cards):
-        raise IllegalActionError(f"discard group not in canonical order: {group}")
-    if not set(cards) <= set(player.hand):
-        raise IllegalActionError(f"group contains cards not in hand: {group}")
+    single = len(cards) == 1 and cards[0] in hand and group == _SINGLE_GROUPS[cards[0]]
+    if state.phase is not _DISCARD or not (single or group in enumerate_legal_discards(hand)):
+        raise IllegalActionError(f"not a legal discard: {group}")
     for card in cards:
-        player.hand.remove(card)
+        hand.remove(card)
     state.discard_stack.append(group)
     state.phase = _PICK
     if state.observers:
@@ -634,16 +603,15 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
     Stock draws reshuffle the older discards back in whenever the stock
     runs dry (the newest group always stays on the pile). Every pick
     advances the turn counter by one, so ``turn_limit`` counts player turns.
+    Legal only as ``legal_actions`` lists it, so a stock pick finds a card.
     """
-    if state.phase is not _PICK:
-        raise IllegalActionError("not in the Pick phase")
+    if not _lists(state, source):
+        raise IllegalActionError(f"not a legal pick: {source!r}")
     seat = state.current_player
     players = state.players
     if source is _STOCK:
         if not state.stock:
             _reshuffle_into_stock(state)
-            if not state.stock:
-                raise IllegalActionError("stock is exhausted and cannot be refilled")
         card = state.stock.pop()
         insort(players[seat].hand, card)
         if state.observers:
@@ -652,8 +620,6 @@ def apply_pick(state: RoundState, source: PickSource) -> Card:
             _reshuffle_into_stock(state)
     else:
         stack = state.discard_stack
-        if len(stack) < 2:
-            raise IllegalActionError("no discard top available to pick")
         group = stack[-2]  # the top of the group below the picker's own
         card = group.cards[-1]
         if len(group.cards) > 1:
@@ -691,16 +657,13 @@ def resolve_jhyap(state: RoundState) -> RoundOutcome:
     then pays their capped hand value. Otherwise the winner is the first
     non-declarer clockwise from the declarer with the lowest non-declarer
     value, and the declarer alone pays the sum of all players' capped hand
-    values (the winner's and their own included).
+    values (the winner's and their own included). Legal only when
+    ``legal_actions`` lists DECLARE.
     """
-    if state.phase is not _JHYAP_CHECK:
-        raise IllegalActionError("Jhyap may only be declared at the start of one's turn")
+    if not _lists(state, _DECLARE):
+        raise IllegalActionError("Jhyap is not a legal action here")
     declarer = state.current_player
     values = [hand_value(p.hand) for p in state.players]
-    if values[declarer] > JHYAP_THRESHOLD:
-        raise IllegalActionError(
-            f"cannot declare Jhyap with hand value {values[declarer]} > {JHYAP_THRESHOLD}"
-        )
     n = state.num_players
     others = [s for s in range(n) if s != declarer]
     lowest_other = min(values[s] for s in others)
@@ -789,6 +752,13 @@ def legal_actions(view: RoundState | Observation) -> list[Action]:
     if groups >= 2:
         actions.append(_TOP)
     return actions
+
+
+def _lists(state: RoundState, action: PickSource | JhyapAction) -> bool:
+    """Whether ``legal_actions(state)`` lists ``action``, type included: as
+    IntEnums STOCK == DECLARE, and one list holds one phase's actions."""
+    legal = legal_actions(state)
+    return action in legal and type(action) is type(legal[0])
 
 
 def step(state: RoundState, action: Action) -> Optional[RoundOutcome]:

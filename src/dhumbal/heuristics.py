@@ -29,6 +29,7 @@ equal are in ``tests/test_heuristics.py``.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -48,6 +49,11 @@ from .engine import (
 )
 
 
+def _is_finite(value) -> bool:
+    """An int or a float, not a bool, NaN, an infinity or an int past float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class HeuristicProfile:
     """Parameter bundle for one rule-based agent."""
@@ -65,6 +71,30 @@ class HeuristicProfile:
     adaptive: bool = False  # re-derive r/p_h/threshold from coin standings
     length_first_discards: bool = False
     selective_low_discards: bool = False  # keep the lowest card near threshold
+
+    def __post_init__(self) -> None:
+        """Config files override any field, so each is checked as typed: a
+        bool is no int, and a float must be finite."""
+        typed = [("name", str), ("jhyap_threshold", int), ("pick_threshold", int),
+                 ("high_value_preference", float), ("risk_factor", float),
+                 ("multi_card_bonus", float), ("sequence_bonus", float), ("adaptive", bool),
+                 ("length_first_discards", bool), ("selective_low_discards", bool)]
+        if self.secondary_pick_threshold is not None:
+            typed.append(("secondary_pick_threshold", int))
+        for name, kind in typed:
+            value = getattr(self, name)
+            if not (_is_finite(value) if kind is float else type(value) is kind):
+                what = "a finite number" if kind is float else kind.__name__
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        bands = self.declare_probabilities
+        if bands is not None and not (isinstance(bands, (list, tuple)) and all(
+            isinstance(band, (list, tuple)) and len(band) == 3
+            and type(band[0]) is int and type(band[1]) is int and band[0] <= band[1]
+            and _is_finite(band[2]) and 0 <= band[2] <= 1 for band in bands
+        )):
+            raise ValueError(
+                "declare_probabilities must be None or [low, high, probability] bands, "
+                f"integers low <= high and a probability in [0, 1], got {bands!r}")
 
     @cached_property
     def adapted(self) -> dict[tuple[float, float, int], "HeuristicProfile"]:
@@ -108,8 +138,8 @@ PROFILES: dict[str, HeuristicProfile] = {
 }
 
 
-def make_profile(name: str, **overrides) -> HeuristicProfile:
-    """A stock profile with config-file overrides applied."""
+def make_profile(name: str, /, **overrides) -> HeuristicProfile:
+    """A stock profile with config-file overrides applied, ``name`` among them."""
     try:
         base = PROFILES[name]
     except KeyError:

@@ -269,10 +269,11 @@ def determinize(
 def _playout_outcome(
     state: RoundState, rng: random.Random, max_actions: int
 ) -> Optional[RoundOutcome]:
-    """Uniform-random legal play until settlement; None if the cap is hit.
+    """Uniform-random legal play of a live round until settlement; None if
+    the cap is hit. The tree hands it only worlds that survived ``step``,
+    so it never checks for a settled start.
 
-    Equal to the ``round_termination(state)`` ending, if there is one, and
-    otherwise to at most ``max_actions`` calls of ``engine.step`` with the
+    Equal to at most ``max_actions`` calls of ``engine.step`` with the
     same draws: declare when eligible and ``rng.random() < 0.5``, discard
     ``random_discard_group(hand, rng)``, take the top when it is legal and
     ``rng.random() < 0.5``. Kept as one tight loop because search spends
@@ -287,9 +288,6 @@ def _playout_outcome(
     are. The engine settles the final state: ``resolve_jhyap`` after a
     declaration, otherwise ``round_termination`` (None at the cap).
     """
-    outcome = round_termination(state)
-    if outcome is not None:
-        return outcome
     players = state.players
     n = len(players)
     hands = [player.hand for player in players]

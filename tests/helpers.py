@@ -15,7 +15,7 @@ from dhumbal.engine import (
     PlayerState,
     RoundState,
     Suit,
-    classify_group,
+    enumerate_legal_discards,
 )
 from dhumbal.heuristics import HeuristicAgent
 
@@ -37,11 +37,12 @@ def single(card: Card) -> DiscardGroup:
 
 
 def make_group(cards) -> DiscardGroup:
-    """The canonical DiscardGroup of ``cards``; raises on an illegal group."""
-    kind = classify_group(cards)
-    if kind is None:
-        raise IllegalActionError(f"not a legal discard group: {[str(c) for c in cards]}")
-    return DiscardGroup(kind, tuple(sorted(cards)))
+    """The group of all of ``cards``, as ``enumerate_legal_discards`` lists
+    it for a hand of just those cards; raises when it lists none."""
+    for group in enumerate_legal_discards(cards):
+        if len(group.cards) == len(cards):
+            return group
+    raise IllegalActionError(f"not a legal discard group: {[str(c) for c in cards]}")
 
 
 def clone_state(state: RoundState, rng=None) -> RoundState:

@@ -171,6 +171,14 @@ class TestConfigPrecedence:
         assert code == 0
         assert config["agents"] == ["random", "balanced"]
 
+    def test_heuristic_entry_takes_a_name(self, tmp_path):
+        code, config = self.run(
+            tmp_path, {"agents": [{"kind": "aggressive", "name": "agg2"}, "aggressive"],
+                       "rounds": 2}, "tournament", "custom")
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["agents"] == ["agg2", "aggressive"]
+
     def test_championship_entries_neither_name_nor_object(self, tmp_path, capsys):
         checkpoint = tmp_path / "ppo.json"
         learning.save_learning_checkpoint(
@@ -286,6 +294,24 @@ class TestBadInput:
                        "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("dhumbal: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, field", [
+        ('"pick_threshold": "x"', "pick_threshold"),
+        ('"risk_factor": null', "risk_factor"),
+        ('"declare_probabilities": [[0, 5]]', "declare_probabilities"),
+        ('"risk_factor": NaN', "risk_factor"),
+        ('"jhyap_threshold": true', "jhyap_threshold"),
+    ], ids=["str-pick-threshold", "null-risk", "short-band", "nan-risk", "bool-threshold"])
+    def test_bad_heuristic_override(self, tmp_path, capsys, override, field):
+        # each once ran: with a traceback, mid-tournament, or as a silent
+        # NaN in summary.json or a threshold of 1
+        path = tmp_path / "config.json"
+        path.write_text('{"agents": ["balanced", {"kind": "aggressive", %s}]}' % override)
+        assert run_cli("tournament", "custom", "--config", path,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dhumbal: bad agent entry: ") and field in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -179,21 +179,28 @@ class TestDeal:
         assert sorted(state.all_cards()) == sorted(engine.FULL_DECK)
 
 
+def runs(*texts: str) -> list[DiscardGroup]:
+    """The runs that enumerate_legal_discards lists for a hand of ``texts``."""
+    return [group for group in engine.enumerate_legal_discards(cards(*texts))
+            if group.kind is GroupKind.SEQUENCE]
+
+
 class TestSequences:
     def test_aces_low(self):
-        assert engine.is_valid_sequence(cards("AC", "2C", "3C"))
+        assert runs("AC", "2C", "3C") == [
+            DiscardGroup(GroupKind.SEQUENCE, tuple(cards("AC", "2C", "3C")))]
 
     def test_no_wrap(self):
-        assert not engine.is_valid_sequence(cards("QH", "KH", "AH"))
+        assert runs("QH", "KH", "AH") == []
 
     def test_mixed_suit(self):
-        assert not engine.is_valid_sequence(cards("4D", "5D", "6H"))
+        assert runs("4D", "5D", "6H") == []
 
     def test_too_short(self):
-        assert not engine.is_valid_sequence(cards("4D", "5D"))
+        assert runs("4D", "5D") == []
 
     def test_gap(self):
-        assert not engine.is_valid_sequence(cards("4D", "5D", "7D"))
+        assert runs("4D", "5D", "7D") == []
 
 
 class TestEnumerateLegalDiscards:
@@ -410,7 +417,7 @@ class TestDiscard:
             pile=[single(c("9C"))],
         )
         state.phase = Phase.DISCARD
-        with pytest.raises(IllegalActionError, match="canonical order"):
+        with pytest.raises(IllegalActionError, match="not a legal discard"):
             engine.apply_discard(
                 state, DiscardGroup(GroupKind.SEQUENCE, tuple(cards("5H", "3H", "4H"))))
         assert state.players[0].hand == cards("3H", "4H", "5H", "KC")
@@ -736,27 +743,40 @@ class TestStep:
         assert outcome.end_reason is EndReason.EMPTY_HAND
         assert outcome.coin_delta == (-7, 7)  # 2D + 5H
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), num_players=st.integers(2, 5))
     def test_legal_actions_step_and_permuted_groups_raise(self, seed, num_players):
-        """On every live state of a random round, each legal action steps
-        on a clone, and each multi-card group with its cards out of
-        canonical order raises and leaves the state as it was."""
+        """The acceptance-set oracle. On every live state of a random round
+        ``step`` accepts a candidate iff ``legal_actions`` lists it, and a
+        refusal raises and leaves the state as it was. The candidates are
+        every legal action, both pick sources, both Jhyap actions and every
+        group of 1 to 4 cards drawn from the mover's hand and the pile top,
+        under each kind and in every order; an accepted one steps a clone."""
         rng = random.Random(seed)
-        state = engine.deal(num_players, rng, turn_limit=40)
+        state = engine.deal(num_players, rng, turn_limit=30)
         outcome = None
         while outcome is None:
             legal = engine.legal_actions(state)
-            for action in legal:
-                engine.step(clone_state(state, random.Random(0)), action)
-                if not isinstance(action, DiscardGroup) or len(action.cards) < 2:
-                    continue
-                before = state_snapshot(state)
-                for order in permutations(action.cards):
-                    if list(order) != list(action.cards):
-                        with pytest.raises(IllegalActionError):
-                            engine.step(state, DiscardGroup(action.kind, order))
+            pool = state.players[state.current_player].hand + [state.discard_stack[-1].top]
+            candidates = [*PickSource, *JhyapAction] + [
+                DiscardGroup(kind, order)
+                for size in range(1, 5)
+                for subset in combinations(pool, size)
+                for order in permutations(subset)
+                for kind in GroupKind
+            ]
+            before = state_snapshot(state)
+            for action in legal + candidates:
+                # by type too: as IntEnums, PickSource.STOCK == JhyapAction.DECLARE
+                if any(type(a) is type(action) and a == action for a in legal):
+                    engine.step(clone_state(state, random.Random(0)), action)
+                else:
+                    try:  # not pytest.raises, which costs more than the step
+                        engine.step(state, action)
+                    except IllegalActionError:
                         assert state_snapshot(state) == before
+                    else:
+                        pytest.fail(f"step accepted the unlisted {action!r}")
             outcome = engine.step(state, legal[rng.randrange(len(legal))])
 
 

@@ -353,6 +353,14 @@ def step_playout(state, rng, cap):
     return outcome
 
 
+def settle_or_play(state, rng, cap):
+    """The ending of a settled state, else the playout's: the check a caller
+    that may hold a settled state makes, since the playout kernel plays only
+    the live worlds the tree hands it."""
+    outcome = engine.round_termination(state)
+    return outcome if outcome is not None else search._playout_outcome(state, rng, cap)
+
+
 class TestRollout:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -368,7 +376,7 @@ class TestRollout:
         fast = clone_state(base, random.Random(seed))
         reference = clone_state(base, random.Random(seed))
         reference.validate = True
-        outcome = search._playout_outcome(fast, fast.rng, cap)
+        outcome = settle_or_play(fast, fast.rng, cap)
         assert outcome == step_playout(reference, reference.rng, cap)
         assert state_snapshot(fast) == state_snapshot(reference)
         assert fast.rng.getstate() == reference.rng.getstate()
@@ -377,7 +385,7 @@ class TestRollout:
         state = endgame_state()
         state.players[0].hand = []
         state.phase = Phase.PICK  # an empty hand settles before any action
-        outcome = search._playout_outcome(state, random.Random(0), 200)
+        outcome = settle_or_play(state, random.Random(0), 200)
         assert outcome.coin_delta[0] == 7  # opponent pays min(7, 100)
 
     def test_zero_sum_over_playouts(self):
