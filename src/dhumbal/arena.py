@@ -18,9 +18,10 @@ that every round is zero-sum and conserves the coins; ``run_tournament``
 and the CLI's interactive table both play through it. Only a "dqn" or
 "ppo" entry loads ``learning``, and numpy with it.
 
-An agent has a ``name``, ``begin_round(seat, num_players)`` and the three
-``decide_*`` calls that ``engine.ask`` makes. ``observe(event)`` is
-optional: ``play_round`` passes the ``observe`` of every agent that has it
+An agent is the three ``decide_*`` calls that ``engine.ask`` makes; its
+display name is its config entry's (``agent_names``). Two calls are
+optional: ``play_round`` calls ``begin_round(seat, num_players)`` of every
+agent that has it, and passes the ``observe`` of every agent that has it
 to ``engine.deal``, so it is sent every public event of the round
 (``engine.PublicEvent``) as the engine makes it, and a round in which no
 agent has it builds no events at all.
@@ -58,11 +59,6 @@ from .search import SearchAgent, SearchConfig
 class RandomAgent:
     """The uniform baseline: a uniform choice among the legal actions."""
 
-    name = "random"
-
-    def begin_round(self, seat: int, num_players: int) -> None:
-        pass
-
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
         return can_declare_jhyap(observation.own_hand) and rng.random() < 0.5
 
@@ -86,18 +82,21 @@ def _reject_unknown_options(kind: str, options: dict, known) -> None:
 
 
 def _kind(spec: Union[str, dict]) -> tuple:
-    """An agent entry's kind and its options: a name has none, and a
-    "heuristic" entry takes its kind from "profile". An entry that is
-    neither a name nor a dict raises TypeError."""
+    """An agent entry's kind, display name and options. A string entry is
+    its kind and its name; a dict's optional "name" (a string; empty means
+    the kind) is no option, and a "heuristic" entry takes its kind from
+    "profile". An entry that is neither a string nor a dict raises TypeError."""
     if isinstance(spec, str):
-        return spec, {}
+        return spec, spec, {}
     if not isinstance(spec, dict):
         raise TypeError(f"an agent entry is a name or an object, not {spec!r}")
     options = dict(spec)
-    kind = options.pop("kind", None)
+    kind, name = options.pop("kind", None), options.pop("name", None)
     if kind == "heuristic":
         kind = options.pop("profile", None)
-    return kind, options
+    if not isinstance(name, (str, type(None))):
+        raise ValueError(f"name must be str, got {name!r}")
+    return kind, name or kind, options
 
 
 def build_agent(spec: Union[str, dict]):
@@ -108,7 +107,7 @@ def build_agent(spec: Union[str, dict]):
     or a required checkpoint path for "dqn"/"ppo". An unknown kind or
     option raises ValueError.
     """
-    kind, spec = _kind(spec)
+    kind, _, spec = _kind(spec)
     if kind in PROFILES:
         _reject_unknown_options(kind, spec, HeuristicProfile.__dataclass_fields__)
         return HeuristicAgent(make_profile(kind, **spec))
@@ -127,7 +126,7 @@ def build_agent(spec: Union[str, dict]):
                 "with untrained weights"
             )
         from .learning import RLAgent  # learning, and numpy, load only for a learner
-        agent = RLAgent.from_checkpoint(Path(checkpoint), name=kind)
+        agent = RLAgent.from_checkpoint(Path(checkpoint))
         if agent.kind != kind:
             raise ValueError(
                 f"checkpoint {checkpoint} holds a {agent.kind} model, not {kind}"
@@ -154,6 +153,7 @@ class TournamentConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 2 <= len(self.agents) <= 5:
             raise ValueError("tournaments need 2..5 agents")
+        agent_names(self.agents)  # a bad or clashing name is refused before any round
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.seed < 0:
@@ -179,17 +179,16 @@ class TournamentConfig:
 
 
 def agent_names(specs: Sequence[Union[str, dict]]) -> list[str]:
-    """Display names per seat, disambiguating duplicates with #2, #3, ..."""
-    bases = []
-    for spec in specs:
-        kind, options = _kind(spec)
-        bases.append(options.get("name") or kind)
-    names = []
-    for index, base in enumerate(bases):
-        if bases.count(base) > 1:
-            names.append(f"{base}#{bases[: index + 1].count(base)}")
-        else:
-            names.append(base)
+    """Display names per entry, numbering a shared name #1, #2, ...; names
+    that still clash raise ValueError."""
+    bases = [_kind(spec)[1] for spec in specs]
+    names = [
+        f"{base}#{bases[: index + 1].count(base)}" if bases.count(base) > 1 else base
+        for index, base in enumerate(bases)
+    ]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two agents are named {name!r}; name one otherwise")
     return names
 
 
@@ -247,9 +246,9 @@ def play_round(
     decision_ms = [0.0] * n_agents
 
     external = [agents[index] is None for index in agent_of_seat]
-    for seat in range(num_players):
-        if not external[seat]:
-            agents[agent_of_seat[seat]].begin_round(seat, num_players)
+    for seat, index in enumerate(agent_of_seat):
+        if hasattr(agents[index], "begin_round"):  # optional, as observe is
+            agents[index].begin_round(seat, num_players)
 
     outcome = round_termination(state)
     while outcome is None:
@@ -476,13 +475,15 @@ def records_to_csv(
 
 def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[str]]:
     """Inverse of records_to_csv. A file the arena could not have written
-    raises ValueError: a header or row width other than its own, rows that
-    name other agents than the first, or a round that is not zero-sum."""
+    raises ValueError: a header other than its own for 2..5 agents, a row
+    width other than the header's, rows that name an agent twice or other
+    agents than the first, a winner or Jhyap caller who is no agent, a
+    partly filled Jhyap call, or a round that is not zero-sum."""
     header, rows = analytics.read_csv(path)
     width = len(_AGENT_COLUMNS)
     n = (len(header) - len(_ROUND_COLUMNS)) // width
-    if header != _records_header(n):
-        raise ValueError(f"{path}: not the records header for {n} agents")
+    if header != _records_header(n) or not 2 <= n <= 5:
+        raise ValueError(f"{path}: not the records header for 2..5 agents")
     readers = [
         analytics.cell_reader(kind)
         for _, _, kind in _ROUND_COLUMNS + _AGENT_COLUMNS * n
@@ -499,6 +500,14 @@ def records_from_csv(path: Union[str, Path]) -> tuple[list[RoundRecord], list[st
         row_names, seats = list(values.pop("names")), values.pop("seats")
         if records and row_names != names:
             raise ValueError(f"{path}: line {line} names {row_names}, not {names}")
+        if len(set(row_names)) != n:
+            raise ValueError(f"{path}: line {line} names an agent twice: {row_names}")
+        if any(values[key] not in (None, *range(n)) for key in ("winner_agent", "jhyap_agent")):
+            raise ValueError(f"{path}: line {line} names a winner or caller who is no agent")
+        jhyap = {values[key] is None for key in ("jhyap_agent", "jhyap_hand_value",
+                                                 "jhyap_succeeded")}
+        if len(jhyap) > 1:
+            raise ValueError(f"{path}: line {line} fills only part of the Jhyap columns")
         if sorted(seats) != list(range(n)):
             raise ValueError(f"{path}: line {line} seats {seats} are not a seating")
         if sum(values["coin_delta"]) != 0:

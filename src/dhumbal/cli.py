@@ -353,8 +353,6 @@ def cmd_export(args) -> int:
 class HumanAgent:
     """Stdin-driven seat; re-prompts until the input names a legal action."""
 
-    name = "human"
-
     def __init__(self):
         self.seat = None
 

@@ -18,6 +18,9 @@ their declaration thresholds, pick rules, and the p_h / r weights:
 * opportunistic: re-derives (r, p_h, threshold) from the coin standings
   on every decision, choosing between two adapted profiles built once.
 
+``PROFILES`` maps each kind to its profile; a profile has no name, since a
+seat's display name is its config entry's (``arena.agent_names``).
+
 A card is its code, so decisions index the engine's per-card tables as
 they are. A discard walks the candidates of ``enumerate_legal_discards``
 in its order as (kind, cards, value) triples and builds only the chosen
@@ -58,7 +61,6 @@ def _is_finite(value) -> bool:
 class HeuristicProfile:
     """Parameter bundle for one rule-based agent."""
 
-    name: str
     jhyap_threshold: int
     high_value_preference: float  # p_h
     risk_factor: float  # r
@@ -75,7 +77,7 @@ class HeuristicProfile:
     def __post_init__(self) -> None:
         """Config files override any field, so each is checked as typed: a
         bool is no int, and a float must be finite."""
-        typed = [("name", str), ("jhyap_threshold", int), ("pick_threshold", int),
+        typed = [("jhyap_threshold", int), ("pick_threshold", int),
                  ("high_value_preference", float), ("risk_factor", float),
                  ("multi_card_bonus", float), ("sequence_bonus", float), ("adaptive", bool),
                  ("length_first_discards", bool), ("selective_low_discards", bool)]
@@ -109,10 +111,9 @@ class HeuristicProfile:
 
 PROFILES: dict[str, HeuristicProfile] = {
     "aggressive": HeuristicProfile(
-        "aggressive", jhyap_threshold=10, high_value_preference=1.0, risk_factor=1.2
+        jhyap_threshold=10, high_value_preference=1.0, risk_factor=1.2
     ),
     "conservative": HeuristicProfile(
-        "conservative",
         jhyap_threshold=7,
         high_value_preference=0.6,
         risk_factor=0.8,
@@ -121,7 +122,6 @@ PROFILES: dict[str, HeuristicProfile] = {
         selective_low_discards=True,
     ),
     "balanced": HeuristicProfile(
-        "balanced",
         jhyap_threshold=10,
         high_value_preference=0.8,
         risk_factor=1.0,
@@ -129,7 +129,6 @@ PROFILES: dict[str, HeuristicProfile] = {
         length_first_discards=True,
     ),
     "opportunistic": HeuristicProfile(
-        "opportunistic",
         jhyap_threshold=8,
         high_value_preference=0.8,
         risk_factor=1.2,
@@ -138,12 +137,12 @@ PROFILES: dict[str, HeuristicProfile] = {
 }
 
 
-def make_profile(name: str, /, **overrides) -> HeuristicProfile:
-    """A stock profile with config-file overrides applied, ``name`` among them."""
+def make_profile(kind: str, **overrides) -> HeuristicProfile:
+    """A stock profile with config-file overrides applied."""
     try:
-        base = PROFILES[name]
+        base = PROFILES[kind]
     except KeyError:
-        raise ValueError(f"unknown heuristic profile: {name!r}") from None
+        raise ValueError(f"unknown heuristic profile: {kind!r}") from None
     return replace(base, **overrides) if overrides else base
 
 
@@ -290,13 +289,6 @@ class HeuristicAgent:
         self.profile = (
             make_profile(profile) if isinstance(profile, str) else profile
         )
-
-    @property
-    def name(self) -> str:
-        return self.profile.name
-
-    def begin_round(self, seat: int, num_players: int) -> None:
-        pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
         return decide_jhyap(self.profile, observation, rng)

@@ -767,21 +767,15 @@ def checkpoint_select(
 class RLAgent:
     """Arena adapter: plays greedily from trained networks."""
 
-    def __init__(self, kind: str, nets: dict, name: Optional[str] = None):
+    def __init__(self, kind: str, nets: dict):
         if kind not in ("dqn", "ppo"):
             raise ValueError(f"unknown learner kind {kind!r}")
         self.kind = kind
         self.nets = nets
-        self._name = name or kind
 
     @classmethod
-    def from_checkpoint(cls, path: Path, name: Optional[str] = None) -> "RLAgent":
-        kind, nets = load_learning_checkpoint(path)
-        return cls(kind, nets, name=name)
-
-    @property
-    def name(self) -> str:
-        return self._name
+    def from_checkpoint(cls, path: Path) -> "RLAgent":
+        return cls(*load_learning_checkpoint(path))
 
     def greedy_index(self, state_vec: np.ndarray, mask: np.ndarray) -> int:
         legal = np.flatnonzero(mask)
@@ -794,9 +788,6 @@ class RLAgent:
     def _decide(self, observation: Observation) -> Action:
         table = action_table(observation)
         return table[self.greedy_index(encode_state(observation), _mask(table))]
-
-    def begin_round(self, seat: int, num_players: int) -> None:
-        pass
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
         return self._decide(observation) is JhyapAction.DECLARE

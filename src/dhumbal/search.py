@@ -582,10 +582,6 @@ class SearchAgent:
         self.cfg = cfg or SearchConfig()
         self._tracker: Optional[BeliefTracker] = None
 
-    @property
-    def name(self) -> str:
-        return self.variant
-
     def begin_round(self, seat: int, num_players: int) -> None:
         self._tracker = BeliefTracker(seat, num_players)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from dhumbal import analytics, arena, engine
+from dhumbal import analytics, arena, engine, heuristics
 from dhumbal.arena import (
     RandomAgent,
     TournamentConfig,
@@ -69,9 +69,14 @@ class TestRandomDecide:
 
 class TestBuildAgent:
     def test_stock_names(self):
-        assert build_agent("aggressive").name == "aggressive"
-        assert build_agent("random").name == "random"
-        assert build_agent("ismcts").variant == "ismcts"
+        # a stock name builds its kind; the seat's display name is the
+        # entry's, so no agent carries one
+        aggressive, uniform, ismcts = map(build_agent, ["aggressive", "random", "ismcts"])
+        assert type(aggressive) is HeuristicAgent
+        assert aggressive.profile is heuristics.PROFILES["aggressive"]
+        assert type(uniform) is RandomAgent
+        assert (type(ismcts), ismcts.variant) == (SearchAgent, "ismcts")
+        assert not any(hasattr(agent, "name") for agent in (aggressive, uniform, ismcts))
 
     def test_heuristic_override_dict(self):
         agent = build_agent({"kind": "heuristic", "profile": "aggressive",
@@ -113,6 +118,32 @@ class TestBuildAgent:
         names = agent_names(["random", "random", "aggressive"])
         assert names == ["random#1", "random#2", "aggressive"]
 
+    def test_name_override_renames_the_seat(self):
+        # "name" names the seat and is no profile override
+        spec = {"kind": "aggressive", "name": "agg2", "pick_threshold": 2}
+        assert agent_names([spec, "aggressive", {"kind": "random", "name": ""}]) == [
+            "agg2", "aggressive", "random"]
+        assert build_agent(spec).profile == replace(
+            heuristics.PROFILES["aggressive"], pick_threshold=2)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "aggressive", "name": 2},
+        {"kind": "heuristic", "profile": "balanced", "name": True},
+        {"kind": "random", "name": ["x"]},
+        {"kind": "mcts", "iterations": 2, "name": 2.5},
+    ], ids=["profile", "heuristic", "random", "search"])
+    def test_name_must_be_a_string(self, spec):
+        for call in (build_agent, lambda spec: agent_names([spec, "random"])):
+            with pytest.raises(ValueError, match="name must be str"):
+                call(spec)
+
+    def test_clashing_names_refused(self):
+        specs = ["aggressive", "aggressive", {"kind": "balanced", "name": "aggressive#1"}]
+        with pytest.raises(ValueError, match="'aggressive#1'"):
+            agent_names(specs)
+        with pytest.raises(ValueError, match="'aggressive#1'"):
+            TournamentConfig(agents=specs)
+
 
 def fast_agents(n=4):
     return [HeuristicAgent("aggressive"), HeuristicAgent("conservative"),
@@ -146,6 +177,22 @@ class TestRunRound:
         assert sum(record.coin_delta) == 0
         if record.winner_agent is not None:
             assert record.winner_agent in (0, 1, 2, 3)
+
+    def test_an_agent_is_its_three_calls(self):
+        # begin_round and observe are optional, and no name is read
+        class Bare:
+            def decide_jhyap(self, observation, rng):
+                return False
+
+            def decide_discard(self, observation, rng):
+                return engine.random_discard_group(observation.own_hand, rng)
+
+            def decide_pick(self, observation, rng):
+                return PickSource.STOCK
+
+        record = run_round([Bare(), HeuristicAgent("aggressive")], [1, 0], random.Random(4))
+        assert sum(record.coin_delta) == 0
+        assert record.decisions[0] > 0
 
     def test_decision_bookkeeping(self):
         record = run_round(fast_agents(), [0, 1, 2, 3], random.Random(3), round_index=0)

@@ -171,13 +171,30 @@ class TestConfigPrecedence:
         assert code == 0
         assert config["agents"] == ["random", "balanced"]
 
-    def test_heuristic_entry_takes_a_name(self, tmp_path):
+    @pytest.mark.parametrize("entry", [
+        {"kind": "aggressive"},
+        {"kind": "heuristic", "profile": "conservative"},
+        {"kind": "random"},
+        {"kind": "mcts", "iterations": 2},
+        {"kind": "ismcts", "iterations": 2, "determinizations": 1},
+        {"kind": "dqn"},
+        {"kind": "ppo"},
+    ], ids=["profile", "heuristic", "random", "mcts", "ismcts", "dqn", "ppo"])
+    def test_any_entry_takes_a_name(self, tmp_path, entry):
+        if entry["kind"] in ("dqn", "ppo"):
+            core = (learning.DQNAgentCore(learning.DQNConfig(), seed=3) if entry["kind"] == "dqn"
+                    else learning.PPOAgentCore(learning.PPOConfig(), seed=3))
+            entry["checkpoint"] = str(tmp_path / "learner.json")
+            learning.save_learning_checkpoint(entry["kind"], core, entry["checkpoint"], 1)
         code, config = self.run(
-            tmp_path, {"agents": [{"kind": "aggressive", "name": "agg2"}, "aggressive"],
-                       "rounds": 2}, "tournament", "custom")
+            tmp_path, {"agents": [{**entry, "name": "x"}, "aggressive"], "rounds": 1},
+            "tournament", "custom")
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["agents"] == ["agg2", "aggressive"]
+        assert summary["agents"] == ["x", "aggressive"]
+        assert [m["name"] for m in summary["metrics"]] == ["x", "aggressive"]
+        _, names = arena.records_from_csv(tmp_path / "out" / "records.csv")
+        assert names == ["x", "aggressive"]
 
     def test_championship_entries_neither_name_nor_object(self, tmp_path, capsys):
         checkpoint = tmp_path / "ppo.json"
@@ -281,10 +298,15 @@ class TestBadInput:
          ' "rounds": 1}', "exploration_c"),
         ('{"agents": [{"kind": "ismcts", "iterations": 2, "exploration_c": Infinity},'
          ' "random"], "rounds": 1}', "exploration_c"),
+        ('{"agents": [{"kind": "balanced", "name": 2}, "random"]}', "name must be str"),
+        ('{"agents": [{"kind": "mcts", "name": 2}, "random"]}', "name must be str"),
+        ('{"agents": ["aggressive", "aggressive", {"kind": "balanced", "name": "aggressive#1"}]}',
+         "bad tournament config: two agents are named 'aggressive#1'"),
     ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
             "count-orbits", "float-workers", "bool-rounds", "str-seed", "float-turn-limit",
             "str-starting-coins", "str-iterations", "float-iterations", "bool-iterations",
-            "nan-exploration", "infinite-exploration"])
+            "nan-exploration", "infinite-exploration", "int-profile-name", "int-search-name",
+            "clashing-names"])
     def test_bad_config(self, tmp_path, capsys, config, message):
         # no flag is given, since a flag would override the file's value; the
         # message names what is wrong with the file
@@ -395,16 +417,19 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["report", "export"])
     @pytest.mark.parametrize("fault", ["swapped-columns", "extra-columns", "shared-seat",
-                                       "renamed-agent", "unbalanced-round"])
+                                       "renamed-agent", "unbalanced-round", "no-agent",
+                                       "one-agent", "partial-jhyap", "winner-not-an-agent",
+                                       "caller-not-an-agent", "shared-name"])
     def test_records_not_as_written(self, tmp_path, capsys, command, fault):
-        # each file differs from what records_to_csv writes, in header, width or
-        # seats, or holds rounds that the arena could not have played
+        # each file differs from what records_to_csv writes, in header, width,
+        # seats or names, or holds rounds that the arena could not have played
         assert run_cli("tournament", "rule", "--rounds", 4, "--out", tmp_path) == 0
         path = tmp_path / "records.csv"
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-        delta, cards = rows[0].index("a0_delta"), rows[0].index("a0_cards")
-        seat, other_seat = rows[0].index("a0_seat"), rows[0].index("a1_seat")
+        column = {name: index for index, name in enumerate(rows[0])}
+        delta, cards = column["a0_delta"], column["a0_cards"]
+        seat, other_seat = column["a0_seat"], column["a1_seat"]
         for row in rows:
             if fault == "swapped-columns":
                 row[delta], row[cards] = row[cards], row[delta]
@@ -412,10 +437,27 @@ class TestBadInput:
                 row.extend(["0", "0", "0"])
             elif fault == "shared-seat" and row is not rows[0]:
                 row[seat] = row[other_seat]
+            elif fault in ("no-agent", "one-agent"):
+                # a zero-sum table of that many agents, else refused as before
+                del row[column["a1_name" if fault == "one-agent" else "a0_name"]:]
+                if row is not rows[0] and fault == "one-agent":
+                    row[seat] = row[delta] = "0"
+                    for key in ("winner_agent", "jhyap_agent"):
+                        row[column[key]] = row[column[key]] and "0"
+            elif fault == "shared-name" and row is not rows[0]:
+                row[column["a1_name"]] = row[column["a0_name"]]
         if fault == "renamed-agent":
-            rows[-1][rows[0].index("a0_name")] = "renamed"
+            rows[-1][column["a0_name"]] = "renamed"
         elif fault == "unbalanced-round":
             rows[1][delta] = str(int(rows[1][delta]) + 100)
+        elif fault == "partial-jhyap":
+            rows[1][column["jhyap_agent"]] = "1"
+            rows[1][column["jhyap_hand_value"]] = rows[1][column["jhyap_succeeded"]] = ""
+        elif fault == "winner-not-an-agent":
+            rows[1][column["winner_agent"]] = "9"
+        elif fault == "caller-not-an-agent":
+            rows[1][column["jhyap_agent"]] = "4"
+            rows[1][column["jhyap_hand_value"]] = rows[1][column["jhyap_succeeded"]] = "1"
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerows(rows)
         capsys.readouterr()

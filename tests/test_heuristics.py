@@ -427,15 +427,10 @@ class TestAgentAdapter:
         obs = obs_with_hand(cards("KH", "QS", "8D"), phase=Phase.PICK, top=c("4D"))
         assert decide_pick(profile, obs) is PickSource.STOCK
 
-    def test_name_override_renames_the_profile(self):
-        profile = make_profile("aggressive", name="agg2")
-        assert profile.name == "agg2"
-        assert profile.jhyap_threshold == heuristics.PROFILES["aggressive"].jhyap_threshold
-
     @pytest.mark.parametrize("override", [
         {"pick_threshold": "4"}, {"jhyap_threshold": True}, {"secondary_pick_threshold": 2.0},
         {"risk_factor": None}, {"risk_factor": float("nan")}, {"sequence_bonus": float("inf")},
-        {"high_value_preference": 10**400}, {"adaptive": 1}, {"name": 2},
+        {"high_value_preference": 10**400}, {"adaptive": 1}, {"selective_low_discards": "yes"},
         {"declare_probabilities": [[0, 5]]}, {"declare_probabilities": [[6, 5, 0.5]]},
         {"declare_probabilities": [[0, 5, 1.5]]}, {"declare_probabilities": [[0.0, 5, 1]]},
         {"declare_probabilities": 5},
