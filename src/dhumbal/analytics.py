@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Iterable, Optional, Sequence, Union, get_args, get_origin
 
 CI_Z = 1.96  # normal 95% multiplier used on the percentage scale
@@ -144,17 +143,6 @@ def bonferroni(alpha: float, comparisons: int) -> float:
     if comparisons < 1:
         raise ValueError("comparison count must be >= 1")
     return alpha / comparisons
-
-
-def power_sample_size(
-    sigma: float, delta: float, alpha: float = 0.05, power: float = 0.80
-) -> int:
-    """Two-group sample size: ceil(2 (z_{1-a/2} + z_{power})^2 sigma^2 / delta^2)."""
-    if sigma <= 0 or delta <= 0:
-        raise ValueError("sigma and delta must be positive")
-    normal = NormalDist()
-    z = normal.inv_cdf(1.0 - alpha / 2.0) + normal.inv_cdf(power)
-    return math.ceil(2.0 * z * z * sigma * sigma / (delta * delta))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:

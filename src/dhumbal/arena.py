@@ -2,9 +2,9 @@
 
 Plays complete rounds between any mix of agents (rule-based, search,
 learning, random, human) in one turn loop, ``play_round``: each decision
-is asked of the agent through ``engine.ask``, timed with a monotonic
-clock, and applied with ``engine.step``, which also reports when the
-round ends. ``run_round`` plays a round with an agent at every seat;
+is the agent's ``act(observation, rng)``, timed with a monotonic clock,
+and applied with ``engine.step``, which also reports when the round
+ends. ``run_round`` plays a round with an agent at every seat;
 ``learning.RoundEnv`` plays its learner's seat from outside the loop,
 and checkpoint validation plays through ``run_round``. The results
 are aggregated into metric summaries. Coin balances persist
@@ -18,13 +18,14 @@ that every round is zero-sum and conserves the coins; ``run_tournament``
 and the CLI's interactive table both play through it. Only a "dqn" or
 "ppo" entry loads ``learning``, and numpy with it.
 
-An agent is the three ``decide_*`` calls that ``engine.ask`` makes; its
-display name is its config entry's (``agent_names``). Two calls are
-optional: ``play_round`` calls ``begin_round(seat, num_players)`` of every
-agent that has it, and passes the ``observe`` of every agent that has it
-to ``engine.deal``, so it is sent every public event of the round
-(``engine.PublicEvent``) as the engine makes it, and a round in which no
-agent has it builds no events at all.
+An agent is one call, ``act(observation, rng)``, which returns an
+``engine.Action`` that ``legal_actions`` lists; its display name is its
+config entry's (``agent_names``). Two calls are optional: ``play_round``
+calls ``begin_round(seat, num_players)`` of every agent that has it, and
+passes the ``observe`` of every agent that has it to ``engine.deal``, so
+it is sent every public event of the round (``engine.PublicEvent``) as
+the engine makes it, and a round in which no agent has it builds no
+events at all.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from typing import Optional, Sequence, Union
 
 from . import analytics
 from .engine import (
+    Action,
     DiscardGroup,
-    JhyapAction,
     Observation,
     PickSource,
-    ask,
-    can_declare_jhyap,
+    _DECLINE,
+    _DISCARD,
+    _JHYAP_CHECK,
     deal,
     forced_decline,
     hand_value,
@@ -59,17 +61,14 @@ from .search import SearchAgent, SearchConfig
 class RandomAgent:
     """The uniform baseline: a uniform choice among the legal actions."""
 
-    def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
-        return can_declare_jhyap(observation.own_hand) and rng.random() < 0.5
-
-    def decide_discard(
-        self, observation: Observation, rng: random.Random
-    ) -> DiscardGroup:
-        return random_discard_group(observation.own_hand, rng)
-
-    def decide_pick(self, observation: Observation, rng: random.Random) -> PickSource:
-        sources = legal_actions(observation)
-        return sources[rng.randrange(len(sources))]
+    def act(self, observation: Observation, rng: random.Random) -> Action:
+        phase = observation.phase
+        if phase is _DISCARD:
+            return random_discard_group(observation.own_hand, rng)
+        legal = legal_actions(observation)
+        if phase is _JHYAP_CHECK:  # a coin flip, drawn only when DECLARE is legal
+            return legal[0] if len(legal) == 2 and rng.random() < 0.5 else _DECLINE
+        return legal[rng.randrange(len(legal))]
 
 
 SEARCH_KINDS = ("mcts", "ismcts")
@@ -151,6 +150,8 @@ class TournamentConfig:
         for name in ("rounds", "seed", "turn_limit", "workers", "starting_coins"):
             if type(getattr(self, name)) is not int:  # a bool is an int too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.agents, list):  # a dict or a string has a length too
+            raise ValueError(f"agents must be a list of agent entries, got {self.agents!r}")
         if not 2 <= len(self.agents) <= 5:
             raise ValueError("tournaments need 2..5 agents")
         agent_names(self.agents)  # a bad or clashing name is refused before any round
@@ -222,13 +223,13 @@ def play_round(
     turn_limit: int = 100,
 ):
     """Deal and play one round: a generator that returns its ``RoundRecord``.
-    Each choice is asked of its agent through ``engine.ask`` on one
-    observation and timed; a forced decline, a Jhyap check whose mover
-    holds more than the threshold, is played without asking, so it builds
-    no observation and counts as no decision. A seat whose agent is
-    ``None`` is played from outside: at each of its moves, forced declines
-    included, the generator yields the ``RoundState`` and plays the action
-    sent back, and counts no decision, card or step reward for it."""
+    Each choice is one timed ``act`` call of its agent on one observation;
+    a forced decline, a Jhyap check whose mover holds more than the
+    threshold, is played without asking, so it builds no observation and
+    counts as no decision. A seat whose agent is ``None`` is played from
+    outside: at each of its moves, forced declines included, the generator
+    yields the ``RoundState`` and plays the action sent back, and counts
+    no decision, card or step reward for it."""
     num_players = len(seating)
     agent_of_seat = list(seating)
     state = deal(
@@ -255,13 +256,13 @@ def play_round(
         if external[state.current_player]:
             action = yield state
         elif forced_decline(state):
-            action = JhyapAction.DECLINE
+            action = _DECLINE
         else:
             seat = state.current_player
             agent_index = agent_of_seat[seat]
             obs = observation_for(state, seat)
             start = time.perf_counter()
-            action = ask(agents[agent_index], obs, rng)
+            action = agents[agent_index].act(obs, rng)
             decision_ms[agent_index] += (time.perf_counter() - start) * 1000.0
             decisions[agent_index] += 1
             if isinstance(action, DiscardGroup):
@@ -412,12 +413,6 @@ def check_championship_lineup(specs) -> None:
         raise ValueError(
             f"championship needs exactly {CHAMPIONSHIP_LINEUP}, got {kinds}"
         )
-
-
-def championship(config: TournamentConfig, agents=None) -> TournamentResult:
-    """The cross-category final: Aggressive, ISMCTS, PPO, Random."""
-    check_championship_lineup(config.agents)
-    return run_tournament(config, agents=agents)
 
 
 # --- records persistence ----------------------------------------------------

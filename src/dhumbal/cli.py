@@ -24,9 +24,10 @@ from . import analytics, arena, heuristics, learning
 from .engine import (
     GameError,
     JHYAP_THRESHOLD,
-    enumerate_legal_discards,
     legal_actions,
     Discarded,
+    JhyapAction,
+    Phase,
     PickSource,
     PickedStock,
     PickedTop,
@@ -387,20 +388,33 @@ class HumanAgent:
             print("\n(input closed; leaving the table)")
             raise SystemExit(0) from None
 
-    def decide_jhyap(self, observation, rng) -> bool:
+    def act(self, observation, rng):
+        """The action the player types: the hand is shown before a Jhyap
+        check or a discard, not again before the pick that follows."""
+        legal = legal_actions(observation)
+        if observation.phase is Phase.PICK:
+            if len(legal) == 1:
+                print("stock is the only pick; drawing")
+                return legal[0]
+            while True:
+                answer = self._input(
+                    f"pick from [s]tock or [t]op ({observation.discard_top})? "
+                )
+                if answer in ("s", "stock"):
+                    return PickSource.STOCK
+                if answer in ("t", "top"):
+                    return PickSource.DISCARD_TOP
+                print("please answer s or t")
         self._show(observation)
-        while True:
-            answer = self._input("declare Jhyap? [y/N] ")
-            if answer in ("y", "yes"):
-                return True
-            if answer in ("", "n", "no"):
-                return False
-            print("please answer y or n")
-
-    def decide_discard(self, observation, rng):
-        self._show(observation)
-        groups = enumerate_legal_discards(observation.own_hand)
-        for index, group in enumerate(groups):
+        if observation.phase is Phase.JHYAP_CHECK:
+            while True:
+                answer = self._input("declare Jhyap? [y/N] ")
+                if answer in ("y", "yes"):
+                    return JhyapAction.DECLARE
+                if answer in ("", "n", "no"):
+                    return JhyapAction.DECLINE
+                print("please answer y or n")
+        for index, group in enumerate(legal):
             print(f"  [{index}] {group}")
         while True:
             answer = self._input("discard which group? (number, or j for Jhyap) ")
@@ -411,24 +425,9 @@ class HumanAgent:
                     f"(yours is {observation.hand_value})"
                 )
                 continue
-            if answer.isdigit() and int(answer) < len(groups):
-                return groups[int(answer)]
-            print(f"enter a number 0..{len(groups) - 1}")
-
-    def decide_pick(self, observation, rng):
-        sources = legal_actions(observation)
-        if len(sources) == 1:
-            print("stock is the only pick; drawing")
-            return sources[0]
-        while True:
-            answer = self._input(
-                f"pick from [s]tock or [t]op ({observation.discard_top})? "
-            )
-            if answer in ("s", "stock"):
-                return PickSource.STOCK
-            if answer in ("t", "top"):
-                return PickSource.DISCARD_TOP
-            print("please answer s or t")
+            if answer.isdigit() and int(answer) < len(legal):
+                return legal[int(answer)]
+            print(f"enter a number 0..{len(legal) - 1}")
 
 
 def cmd_play(args) -> int:

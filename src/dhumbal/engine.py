@@ -14,9 +14,8 @@ makes it runs; a round with no observers builds no events. Every player of
 a round, whatever the agent, moves through ``step`` and chooses among
 ``legal_actions``, whose rules are the only legality rules: each
 ``apply_*`` op refuses what they do not list, so ``step`` accepts exactly
-what ``legal_actions`` lists. ``ask`` is the one place that turns the
-phase into an agent's ``decide_*`` call, and ``forced_decline`` names the
-one move nobody is asked for.
+what ``legal_actions`` lists. An agent answers an observation with one
+``Action``; ``forced_decline`` names the one move nobody is asked for.
 
 A ``Card`` is an int, its code ``(rank - 1) * 4 + suit`` (0..51, in card
 order), so it indexes the engine's per-card tables as it is. Every hand
@@ -787,20 +786,6 @@ def forced_decline(state: RoundState) -> bool:
     return state.phase is _JHYAP_CHECK and not can_declare_jhyap(
         state.players[state.current_player].hand
     )
-
-
-def ask(agent, observation: Observation, rng: random.Random) -> Action:
-    """The action ``agent`` chooses at ``observation``: the one place that
-    turns a phase into an agent call. A Jhyap check asks ``decide_jhyap``,
-    whose bool becomes DECLARE or DECLINE, a discard ``decide_discard`` and
-    a pick ``decide_pick``. Callers play a forced decline without asking;
-    see ``forced_decline``."""
-    phase = observation.phase
-    if phase is _JHYAP_CHECK:
-        return _DECLARE if agent.decide_jhyap(observation, rng) else _DECLINE
-    if phase is _DISCARD:
-        return agent.decide_discard(observation, rng)
-    return agent.decide_pick(observation, rng)
 
 
 def observation_for(state: RoundState, seat: int) -> Observation:

@@ -20,6 +20,8 @@ their declaration thresholds, pick rules, and the p_h / r weights:
 
 ``PROFILES`` maps each kind to its profile; a profile has no name, since a
 seat's display name is its config entry's (``arena.agent_names``).
+``HeuristicAgent.act`` answers each phase with the profile's rule for it:
+``decide_jhyap``, ``decide_discard`` or ``decide_pick``.
 
 A card is its code, so decisions index the engine's per-card tables as
 they are. A discard walks the candidates of ``enumerate_legal_discards``
@@ -38,12 +40,17 @@ from functools import cached_property
 from typing import Optional
 
 from .engine import (
+    Action,
     DiscardGroup,
     GameError,
     GroupKind,
     JHYAP_THRESHOLD,
     Observation,
     PickSource,
+    _DECLARE,
+    _DECLINE,
+    _DISCARD,
+    _JHYAP_CHECK,
     _RANK_OF,
     _RANK_WEIGHT,
     _SINGLE_GROUPS,
@@ -283,12 +290,22 @@ def decide_pick(profile: HeuristicProfile, observation: Observation) -> PickSour
 
 
 class HeuristicAgent:
-    """Arena adapter around a profile; stateless between decisions."""
+    """Arena adapter around a profile; stateless between decisions. ``act``
+    calls the phase's rule through the method of that name, so a wrapper
+    on a method sees every decision of its phase."""
 
     def __init__(self, profile: HeuristicProfile | str):
         self.profile = (
             make_profile(profile) if isinstance(profile, str) else profile
         )
+
+    def act(self, observation: Observation, rng: random.Random) -> Action:
+        phase = observation.phase
+        if phase is _JHYAP_CHECK:
+            return _DECLARE if self.decide_jhyap(observation, rng) else _DECLINE
+        if phase is _DISCARD:
+            return self.decide_discard(observation, rng)
+        return self.decide_pick(observation, rng)
 
     def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
         return decide_jhyap(self.profile, observation, rng)

@@ -47,7 +47,6 @@ from .engine import (
     FULL_DECK,
     Action,
     Card,
-    DiscardGroup,
     JhyapAction,
     Observation,
     PickSource,
@@ -785,15 +784,6 @@ class RLAgent:
             scores = masked_policy(nn.forward(self.nets["actor"], state_vec), mask)
         return int(legal[int(np.argmax(scores[legal]))])
 
-    def _decide(self, observation: Observation) -> Action:
+    def act(self, observation: Observation, rng: random.Random) -> Action:
         table = action_table(observation)
         return table[self.greedy_index(encode_state(observation), _mask(table))]
-
-    def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
-        return self._decide(observation) is JhyapAction.DECLARE
-
-    def decide_discard(self, observation: Observation, rng: random.Random) -> DiscardGroup:
-        return self._decide(observation)
-
-    def decide_pick(self, observation: Observation, rng: random.Random) -> PickSource:
-        return self._decide(observation)

@@ -49,12 +49,10 @@ from .engine import (
     FULL_DECK,
     GameError,
     JHYAP_THRESHOLD,
-    JhyapAction,
     Observation,
     Phase,
     PickedStock,
     PickedTop,
-    PickSource,
     PlayerState,
     PublicEvent,
     Reshuffled,
@@ -589,24 +587,9 @@ class SearchAgent:
         assert self._tracker is not None, "begin_round must run first"
         self._tracker.update(event)
 
-    def _decide(self, observation: Observation, rng: random.Random) -> Action:
+    def act(self, observation: Observation, rng: random.Random) -> Action:
         assert self._tracker is not None, "begin_round must run first"
         belief = self._tracker.snapshot(observation)
         if self.variant == "mcts":
             return mcts_decide(observation, belief, self.cfg, rng)
         return ismcts_decide(observation, belief, self.cfg, rng)
-
-    def decide_jhyap(self, observation: Observation, rng: random.Random) -> bool:
-        return self._decide(observation, rng) is JhyapAction.DECLARE
-
-    def decide_discard(
-        self, observation: Observation, rng: random.Random
-    ) -> DiscardGroup:
-        action = self._decide(observation, rng)
-        assert isinstance(action, DiscardGroup)
-        return action
-
-    def decide_pick(self, observation: Observation, rng: random.Random) -> PickSource:
-        action = self._decide(observation, rng)
-        assert isinstance(action, PickSource)
-        return action

@@ -10,12 +10,14 @@ from dhumbal.engine import (
     DiscardGroup,
     GroupKind,
     IllegalActionError,
+    JhyapAction,
     Observation,
     Phase,
     PlayerState,
     RoundState,
     Suit,
     enumerate_legal_discards,
+    legal_actions,
 )
 from dhumbal.heuristics import HeuristicAgent
 
@@ -134,3 +136,14 @@ class ObservingAgent(HeuristicAgent):
 
     def observe(self, event):
         self.events.append(event)
+
+
+class FirstLegal:
+    """A scripted seat: it declines at every Jhyap check and otherwise plays
+    the first legal action, so it discards the first listed group and
+    draws from the stock while the stock is legal."""
+
+    def act(self, observation, rng):
+        if observation.phase is Phase.JHYAP_CHECK:
+            return JhyapAction.DECLINE
+        return legal_actions(observation)[0]

@@ -12,7 +12,6 @@ from dhumbal.analytics import (
     cohens_d,
     pairwise_comparisons,
     pearson,
-    power_sample_size,
     regularized_incomplete_beta,
     student_t_two_tailed_p,
     summarize,
@@ -180,23 +179,6 @@ class TestBonferroni:
     def test_zero_comparisons_rejected(self):
         with pytest.raises(ValueError):
             bonferroni(0.05, 0)
-
-
-class TestPowerSampleSize:
-    def test_reference_value(self):
-        assert power_sample_size(10.0, 5.0) == 63
-
-    def test_double_delta_quarters_n(self):
-        assert power_sample_size(10.0, 10.0) == 16  # ceil(62.79 / 4)
-
-    def test_double_sigma_quadruples_n(self):
-        assert power_sample_size(20.0, 5.0) == 252  # ceil(4 * 62.79)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            power_sample_size(0.0, 5.0)
-        with pytest.raises(ValueError):
-            power_sample_size(10.0, 0.0)
 
 
 class TestPearson:

@@ -13,16 +13,16 @@ from dhumbal.arena import (
     TournamentConfig,
     agent_names,
     build_agent,
-    championship,
+    check_championship_lineup,
     records_from_csv,
     records_to_csv,
     run_round,
     run_tournament,
 )
-from dhumbal.engine import Discarded, Phase, PickedStock, PickedTop, PickSource
+from dhumbal.engine import Discarded, JhyapAction, Phase, PickedStock, PickedTop, PickSource
 from dhumbal.heuristics import HeuristicAgent
 from dhumbal.search import SearchAgent
-from helpers import ObservingAgent, c, cards, make_obs, single
+from helpers import FirstLegal, ObservingAgent, c, cards, make_group, make_obs, single
 
 
 class TestRandomDecide:
@@ -33,7 +33,7 @@ class TestRandomDecide:
         rng = random.Random(17)
         trials = 100_000
         agent = RandomAgent()
-        declared = sum(agent.decide_jhyap(obs, rng) for _ in range(trials))
+        declared = sum(agent.act(obs, rng) is JhyapAction.DECLARE for _ in range(trials))
         assert declared / trials == pytest.approx(0.5, abs=0.01)
 
     def test_ineligible_never_declares(self):
@@ -41,7 +41,7 @@ class TestRandomDecide:
         rng = random.Random(3)
         state = rng.getstate()
         agent = RandomAgent()
-        assert not any(agent.decide_jhyap(obs, rng) for _ in range(500))
+        assert all(agent.act(obs, rng) is JhyapAction.DECLINE for _ in range(500))
         assert rng.getstate() == state  # an ineligible hand draws nothing
 
     def test_discard_uniform_over_groups(self):
@@ -50,7 +50,7 @@ class TestRandomDecide:
         groups = engine.enumerate_legal_discards(hand)
         rng = random.Random(23)
         agent = RandomAgent()
-        counts = Counter(agent.decide_discard(obs, rng) for _ in range(9 * 12_000))
+        counts = Counter(agent.act(obs, rng) for _ in range(9 * 12_000))
         expected = 12_000
         chi2 = sum((counts[g] - expected) ** 2 / expected for g in groups)
         assert chi2 < 30.0  # df=8
@@ -62,9 +62,61 @@ class TestRandomDecide:
         rng = random.Random(29)
         trials = 100_000
         agent = RandomAgent()
-        picks = [agent.decide_pick(obs, rng) for _ in range(trials)]
+        picks = [agent.act(obs, rng) for _ in range(trials)]
         stock = picks.count(PickSource.STOCK)
         assert stock / trials == pytest.approx(0.5, abs=0.01)
+
+
+def seat_zero_at(phase, own, pile):
+    """The observation of seat 0 of 2 to move at ``phase``: it holds ``own``,
+    ``pile`` lies on the discard pile, seat 1 holds five cards of a shuffled
+    rest and the stock the others."""
+    used = set(own).union(*(group.cards for group in pile))
+    rest = [card for card in engine.FULL_DECK if card not in used]
+    random.Random(0).shuffle(rest)
+    players = [engine.PlayerState(sorted(own), 10_000),
+               engine.PlayerState(sorted(rest[:5]), 10_000)]
+    state = engine.RoundState(players, rest[5:], list(pile), random.Random(1))
+    state.phase = phase
+    return engine.observation_for(state, 0)
+
+
+class TestAct:
+    """Every kind an entry builds answers each phase with one legal action."""
+
+    OBSERVATIONS = {
+        "eligible-jhyap": lambda: seat_zero_at(
+            Phase.JHYAP_CHECK, cards("AC", "2D", "3H"), [single(c("KC"))]),
+        "discard": lambda: seat_zero_at(
+            Phase.DISCARD, cards("5C", "5D", "5H", "6H", "7H"), [single(c("KC"))]),
+        "pick-with-top": lambda: seat_zero_at(
+            Phase.PICK, cards("5C", "5D", "5H"),
+            [single(c("KC")), make_group(cards("6H", "7H", "8H"))]),
+    }
+
+    @pytest.mark.parametrize("situation", list(OBSERVATIONS))
+    @pytest.mark.parametrize("kind", [*heuristics.PROFILES, "random", "mcts", "ismcts",
+                                      "dqn", "ppo"])
+    def test_act_returns_a_legal_action(self, tmp_path, kind, situation):
+        if kind in ("dqn", "ppo"):
+            from dhumbal import learning
+
+            core = (learning.DQNAgentCore(learning.DQNConfig(), seed=3) if kind == "dqn"
+                    else learning.PPOAgentCore(learning.PPOConfig(), seed=3))
+            path = tmp_path / f"{kind}.json"
+            learning.save_learning_checkpoint(kind, core, path, episode=1)
+            spec = {"kind": kind, "checkpoint": str(path)}
+        elif kind in arena.SEARCH_KINDS:
+            spec = {"kind": kind, "iterations": 2}
+        else:
+            spec = kind
+        agent = build_agent(spec)
+        if hasattr(agent, "begin_round"):
+            agent.begin_round(0, 2)
+        obs = self.OBSERVATIONS[situation]()
+        legal = engine.legal_actions(obs)
+        assert len(legal) >= 2  # each situation offers a choice
+        assert agent.act(obs, random.Random(5)) in legal
 
 
 class TestBuildAgent:
@@ -178,19 +230,10 @@ class TestRunRound:
         if record.winner_agent is not None:
             assert record.winner_agent in (0, 1, 2, 3)
 
-    def test_an_agent_is_its_three_calls(self):
+    def test_an_agent_is_one_call(self):
         # begin_round and observe are optional, and no name is read
-        class Bare:
-            def decide_jhyap(self, observation, rng):
-                return False
-
-            def decide_discard(self, observation, rng):
-                return engine.random_discard_group(observation.own_hand, rng)
-
-            def decide_pick(self, observation, rng):
-                return PickSource.STOCK
-
-        record = run_round([Bare(), HeuristicAgent("aggressive")], [1, 0], random.Random(4))
+        record = run_round([FirstLegal(), HeuristicAgent("aggressive")], [1, 0],
+                           random.Random(4))
         assert sum(record.coin_delta) == 0
         assert record.decisions[0] > 0
 
@@ -374,15 +417,16 @@ class TestChampionship:
         config = TournamentConfig(agents=["aggressive", "mcts", "random", "balanced"],
                                   rounds=2)
         with pytest.raises(ValueError, match="championship"):
-            championship(config)
+            check_championship_lineup(config.agents)
 
     def test_agents_with_workers_are_refused(self):
         config = TournamentConfig(
             agents=["aggressive", "ismcts", {"kind": "ppo", "checkpoint": "ppo.json"},
                     "random"],
             rounds=2, workers=2)
+        check_championship_lineup(config.agents)
         with pytest.raises(ValueError, match="workers=2"):
-            championship(config, agents=[RandomAgent() for _ in range(4)])
+            run_tournament(config, agents=[RandomAgent() for _ in range(4)])
 
     def test_runs_with_correct_lineup(self, tmp_path):
         from dhumbal.learning import PPOAgentCore, PPOConfig, save_learning_checkpoint
@@ -400,7 +444,8 @@ class TestChampionship:
             rounds=2,
             seed=1,
         )
-        result = championship(config)
+        check_championship_lineup(config.agents)
+        result = run_tournament(config)
         assert len(result.records) == 2
         assert result.names == ["aggressive", "ismcts", "ppo", "random"]
 

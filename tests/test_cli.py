@@ -9,8 +9,9 @@ from typing import get_type_hints
 
 import pytest
 
-from dhumbal import analytics, arena, cli, engine, heuristics, learning
+from dhumbal import analytics, arena, cli, heuristics, learning
 from dhumbal.search import SearchAgent, SearchConfig
+from helpers import FirstLegal
 
 
 def run_cli(*argv) -> int:
@@ -302,11 +303,16 @@ class TestBadInput:
         ('{"agents": [{"kind": "mcts", "name": 2}, "random"]}', "name must be str"),
         ('{"agents": ["aggressive", "aggressive", {"kind": "balanced", "name": "aggressive#1"}]}',
          "bad tournament config: two agents are named 'aggressive#1'"),
+        ('{"agents": {"aggressive": 1, "random": 2}}', "agents must be a list"),
+        ('{"agents": "ab"}', "agents must be a list"),
+        ('{"agents": "aggressive"}', "agents must be a list"),
+        ('{"agents": null}', "agents must be a list"),
     ], ids=["agent-option", "agent-value", "config-key", "turn-limit", "bad-json",
             "count-orbits", "float-workers", "bool-rounds", "str-seed", "float-turn-limit",
             "str-starting-coins", "str-iterations", "float-iterations", "bool-iterations",
             "nan-exploration", "infinite-exploration", "int-profile-name", "int-search-name",
-            "clashing-names"])
+            "clashing-names", "dict-agents", "two-letter-agents", "one-name-agents",
+            "null-agents"])
     def test_bad_config(self, tmp_path, capsys, config, message):
         # no flag is given, since a flag would override the file's value; the
         # message names what is wrong with the file
@@ -599,7 +605,6 @@ class TestSearchBudget:
             raise self.Played
 
         monkeypatch.setattr(arena, "run_tournament", capture)
-        monkeypatch.setattr(arena, "championship", capture)
         if command == "search":
             argv = ["tournament", "search"]
         else:
@@ -725,25 +730,10 @@ class TestPlayCommand:
             if line == "--- settlement ---":
                 played.extend(lines[index:index + 5])
 
-        class Scripted:
-            name = "human"
-
-            def begin_round(self, seat, num_players):
-                pass
-
-            def decide_jhyap(self, observation, rng):
-                return False
-
-            def decide_discard(self, observation, rng):
-                return engine.enumerate_legal_discards(observation.own_hand)[0]
-
-            def decide_pick(self, observation, rng):
-                return engine.PickSource.STOCK
-
         config = arena.TournamentConfig(["human", "aggressive", "balanced"], rounds=3,
                                         seed=9, seating="fixed")
         result = arena.run_tournament(
-            config, [Scripted(), arena.build_agent("aggressive"), arena.build_agent("balanced")])
+            config, [FirstLegal(), arena.build_agent("aggressive"), arena.build_agent("balanced")])
         expected = []
         balances = [config.starting_coins] * 3
         for record in result.records:

@@ -1,5 +1,6 @@
 """numpy is a first-use import: the rule, search, report and play paths
-never load it, and learning loads it when it first computes. Every module
+never load it, and learning loads it when it first computes. Those paths
+load no ``statistics`` either, nor the number modules it pulls in. Every module
 imports cleanly as the first one a fresh interpreter loads."""
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dhumbal import learning, neuralnet as nn
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a fresh interpreter: play and report without numpy, then learn with it
+# a fresh interpreter: play and report without numpy or statistics, then learn
+# with numpy
 COLD_START = """
 import json, random, sys
 from contextlib import redirect_stdout
@@ -29,7 +31,8 @@ from dhumbal import cli, learning, neuralnet as nn, search
 with redirect_stdout(StringIO()):
     assert cli.main(["tournament", "rule", "--rounds", "2", "--out", "run"]) == 0
     assert cli.main(["report", "--records", "run/records.csv"]) == 0
-before = sorted(name for name in sys.modules if name.startswith("numpy."))
+before = sorted(name for name in sys.modules if name.startswith("numpy.") or name in (
+    "statistics", "_statistics", "fractions", "decimal", "_decimal", "numbers"))
 
 core = learning.DQNAgentCore(learning.DQNConfig(), seed=3)
 env = learning.RoundEnv(learning.default_opponents(), random.Random(4))
