@@ -2,21 +2,23 @@
 
 Every profile scores a candidate discard as
 
-    s = (v * p_h + n * b_m + b_s * [sequence] + 50 * [V_r <= 10]
-         + max(0, (V - V_r) / V) * 10) * r
+    s = v * p_h + n * b_m + b_s * [sequence] + 50 * [V_r <= 10] + v / V * 10
 
 where ``v`` is the discarded value, ``n`` the number of cards, ``V`` the
-hand value before and ``V_r`` after the discard. The profiles differ in
-their declaration thresholds, pick rules, and the p_h / r weights:
+hand value before and ``V_r = V - v`` after the discard, and plays the
+highest-scoring one. The paper also scales the score by a risk factor r
+per profile; it is not modelled, since a positive scale on every
+candidate never changes which one scores highest. The profiles differ in
+their declaration thresholds, pick rules and p_h:
 
-* aggressive: declares at <=10, p_h=1.0, r=1.2, takes pile cards <=4;
-* conservative: declares at <=7, p_h=0.6, r=0.8, takes <=3 (<=5 when its
-  hand is still above 10) and holds on to its lowest card near the
-  threshold;
+* aggressive: declares at <=10, p_h=1.0, takes pile cards <=4;
+* conservative: declares at <=7, p_h=0.6, takes <=3 (<=5 when its hand
+  is still above 10) and holds on to its lowest card near the threshold;
 * balanced: probabilistic declarations (always at <=5, 70% at 6-8, 40% at
   9-10) and prefers longer discards before higher-scoring ones;
-* opportunistic: re-derives (r, p_h, threshold) from the coin standings
-  on every decision, choosing between two adapted profiles built once.
+* opportunistic: declares at <=8 with p_h=0.8 while its coins are at or
+  above the table average; behind it, it plays its ``behind`` profile,
+  which is cold (p_h=0.3) but declares one point looser.
 
 ``PROFILES`` maps each kind to its profile; a profile has no name, since a
 seat's display name is its config entry's (``arena.agent_names``).
@@ -70,14 +72,13 @@ class HeuristicProfile:
 
     jhyap_threshold: int
     high_value_preference: float  # p_h
-    risk_factor: float  # r
     multi_card_bonus: float = 2.0  # b_m
     sequence_bonus: float = 3.0  # b_s
     pick_threshold: int = 4
     secondary_pick_threshold: Optional[int] = None  # used when hand value > 10
     # (low, high, probability) declaration bands; None means hard threshold
     declare_probabilities: Optional[tuple[tuple[int, int, float], ...]] = None
-    adaptive: bool = False  # re-derive r/p_h/threshold from coin standings
+    adaptive: bool = False  # play ``behind`` when behind the table average
     length_first_discards: bool = False
     selective_low_discards: bool = False  # keep the lowest card near threshold
 
@@ -85,8 +86,8 @@ class HeuristicProfile:
         """Config files override any field, so each is checked as typed: a
         bool is no int, and a float must be finite."""
         typed = [("jhyap_threshold", int), ("pick_threshold", int),
-                 ("high_value_preference", float), ("risk_factor", float),
-                 ("multi_card_bonus", float), ("sequence_bonus", float), ("adaptive", bool),
+                 ("high_value_preference", float), ("multi_card_bonus", float),
+                 ("sequence_bonus", float), ("adaptive", bool),
                  ("length_first_discards", bool), ("selective_low_discards", bool)]
         if self.secondary_pick_threshold is not None:
             typed.append(("secondary_pick_threshold", int))
@@ -106,24 +107,19 @@ class HeuristicProfile:
                 f"integers low <= high and a probability in [0, 1], got {bands!r}")
 
     @cached_property
-    def adapted(self) -> dict[tuple[float, float, int], "HeuristicProfile"]:
-        """This profile under each answer of ``opportunistic_adapt``, with its
-        risk factor and high-value preference, built once per profile
-        rather than on every decision."""
-        return {
-            answer: replace(self, risk_factor=answer[0], high_value_preference=answer[1])
-            for answer in (_AHEAD, _BEHIND)
-        }
+    def behind(self) -> "HeuristicProfile":
+        """What an adaptive profile plays behind the table average: cold,
+        but declaring one point looser. Built once per profile rather than
+        on every decision."""
+        return replace(self, high_value_preference=0.3,
+                       jhyap_threshold=self.jhyap_threshold + 1)
 
 
 PROFILES: dict[str, HeuristicProfile] = {
-    "aggressive": HeuristicProfile(
-        jhyap_threshold=10, high_value_preference=1.0, risk_factor=1.2
-    ),
+    "aggressive": HeuristicProfile(jhyap_threshold=10, high_value_preference=1.0),
     "conservative": HeuristicProfile(
         jhyap_threshold=7,
         high_value_preference=0.6,
-        risk_factor=0.8,
         pick_threshold=3,
         secondary_pick_threshold=5,
         selective_low_discards=True,
@@ -131,15 +127,11 @@ PROFILES: dict[str, HeuristicProfile] = {
     "balanced": HeuristicProfile(
         jhyap_threshold=10,
         high_value_preference=0.8,
-        risk_factor=1.0,
         declare_probabilities=((0, 5, 1.0), (6, 8, 0.70), (9, 10, 0.40)),
         length_first_discards=True,
     ),
     "opportunistic": HeuristicProfile(
-        jhyap_threshold=8,
-        high_value_preference=0.8,
-        risk_factor=1.2,
-        adaptive=True,
+        jhyap_threshold=8, high_value_preference=0.8, adaptive=True
     ),
 }
 
@@ -153,11 +145,6 @@ def make_profile(kind: str, **overrides) -> HeuristicProfile:
     return replace(base, **overrides) if overrides else base
 
 
-# opportunistic_adapt's two answers: (risk factor, high-value preference,
-# declaration threshold) ahead of the table average and behind it
-_AHEAD = (1.2, 0.8, 8)
-_BEHIND = (0.8, 0.3, 9)
-
 # module globals: Enum attribute lookups cost more
 _SINGLE, _SEQUENCE = GroupKind.SINGLE, GroupKind.SEQUENCE
 
@@ -167,15 +154,12 @@ _SINGLE_CANDIDATES: tuple[tuple[GroupKind, tuple[int], int], ...] = tuple(
 )
 
 
-def opportunistic_adapt(
-    own_coins: float, avg_opponent_coins: float
-) -> tuple[float, float, int]:
-    """(risk factor, high-value preference, declaration threshold).
-
-    Ahead of the table average (ties included) plays hot; behind plays
-    cold but declares one point looser.
-    """
-    return _AHEAD if own_coins >= avg_opponent_coins else _BEHIND
+def playing_profile(profile: HeuristicProfile, observation: Observation) -> HeuristicProfile:
+    """The profile an adaptive ``profile`` plays this decision with: itself
+    at or above the table average of coins, its ``behind`` profile below it."""
+    if observation.own_coins < observation.avg_opponent_coins:
+        return profile.behind
+    return profile
 
 
 def _score(
@@ -183,16 +167,13 @@ def _score(
 ) -> float:
     """The scoring rule for an ``n``-card discard worth ``value`` from a hand
     worth ``total``."""
-    remaining = total - value
-    improvement = (max(0.0, (total - remaining) / total) * 10.0) if total else 0.0
-    score = (
+    return (
         value * profile.high_value_preference
         + n * profile.multi_card_bonus
         + (profile.sequence_bonus if sequence else 0.0)
-        + (50.0 if remaining <= JHYAP_THRESHOLD else 0.0)
-        + improvement
+        + (50.0 if total - value <= JHYAP_THRESHOLD else 0.0)
+        + value / total * 10.0
     )
-    return score * profile.risk_factor
 
 
 def decide_jhyap(
@@ -207,12 +188,9 @@ def decide_jhyap(
             if low <= value <= high:
                 return rng.random() < probability
         return False
-    threshold = profile.jhyap_threshold
     if profile.adaptive:
-        _, _, threshold = opportunistic_adapt(
-            observation.own_coins, observation.avg_opponent_coins
-        )
-    return value <= threshold
+        profile = playing_profile(profile, observation)
+    return value <= profile.jhyap_threshold
 
 
 def decide_discard(profile: HeuristicProfile, observation: Observation) -> DiscardGroup:
@@ -225,9 +203,7 @@ def decide_discard(profile: HeuristicProfile, observation: Observation) -> Disca
     is a (kind, cards, value) triple, the singles in card order and then
     each ``_patterns`` pick, and only the chosen group is built."""
     if profile.adaptive:
-        profile = profile.adapted[
-            opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
-        ]
+        profile = playing_profile(profile, observation)
     hand = sorted(observation.own_hand)
     if not hand:
         raise GameError("cannot choose a discard from an empty hand")

@@ -326,11 +326,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize("override, field", [
         ('"pick_threshold": "x"', "pick_threshold"),
-        ('"risk_factor": null', "risk_factor"),
+        ('"multi_card_bonus": null', "multi_card_bonus"),
         ('"declare_probabilities": [[0, 5]]', "declare_probabilities"),
-        ('"risk_factor": NaN', "risk_factor"),
+        ('"multi_card_bonus": NaN', "multi_card_bonus"),
         ('"jhyap_threshold": true', "jhyap_threshold"),
-    ], ids=["str-pick-threshold", "null-risk", "short-band", "nan-risk", "bool-threshold"])
+        ('"risk_factor": 1.2', "unknown options for a 'aggressive' agent: ['risk_factor']"),
+    ], ids=["str-pick-threshold", "null-bonus", "short-band", "nan-bonus", "bool-threshold",
+            "risk-factor"])
     def test_bad_heuristic_override(self, tmp_path, capsys, override, field):
         # each once ran: with a traceback, mid-tournament, or as a silent
         # NaN in summary.json or a threshold of 1

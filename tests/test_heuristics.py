@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from dhumbal.heuristics import (
     decide_jhyap,
     decide_pick,
     make_profile,
-    opportunistic_adapt,
+    playing_profile,
 )
 from helpers import c, cards, make_group, make_obs, patterned_hands, single
 
@@ -77,9 +78,9 @@ class TestDiscardScore:
         hand = cards("KH", "QS", "3D", "2C", "AH")  # V = 31
         group = single(c("KH"))
         score = discard_score(hand, group, AGGRESSIVE)
-        expected = (13 * 1.0 + 1 * 2.0 + 0 + 0 + (13 / 31) * 10) * 1.2
+        expected = 13 * 1.0 + 1 * 2.0 + 0 + 0 + (13 / 31) * 10
         assert score == pytest.approx(expected, abs=1e-12)
-        assert score == pytest.approx(23.0322580645, abs=1e-9)
+        assert score == pytest.approx(19.1935483871, abs=1e-9)
 
     def test_higher_value_scores_higher(self):
         hand = cards("KH", "QS", "3D", "2C", "AH")
@@ -96,7 +97,7 @@ class TestDiscardScore:
             plain_hand, group, AGGRESSIVE
         )
         drift = (13 / 23 - 13 / 24) * 10  # improvement term moves slightly too
-        assert got == pytest.approx((50 + drift) * 1.2, abs=1e-12)
+        assert got == pytest.approx(50 + drift, abs=1e-12)
 
     def test_sequence_bonus_applies(self):
         hand = cards("4H", "5H", "6H", "KD", "KC")
@@ -104,13 +105,19 @@ class TestDiscardScore:
         pair = make_group(cards("KD", "KC"))
         run_score = discard_score(hand, run, AGGRESSIVE)
         # run: v=15, n=3, seq bonus; V=41, V_r=26
-        expected = (15 * 1.0 + 3 * 2.0 + 3.0 + 0 + (15 / 41) * 10) * 1.2
+        expected = 15 * 1.0 + 3 * 2.0 + 3.0 + 0 + (15 / 41) * 10
         assert run_score == pytest.approx(expected, abs=1e-12)
         assert discard_score(hand, pair, AGGRESSIVE) > 0
 
-    def test_empty_hand_value_guard(self):
-        # V=0 cannot happen with a legal group, but the guard must hold
-        assert discard_score([], single(c("2C")), AGGRESSIVE) >= 0
+    def test_empty_hand_value_guard(self, monkeypatch):
+        # the score divides by V unguarded: V=0 never reaches it, because
+        # decide_discard refuses an empty hand before it scores
+        def no_score(*args):
+            raise AssertionError("an empty hand was scored")
+
+        monkeypatch.setattr(heuristics, "_score", no_score)
+        with pytest.raises(engine.GameError):
+            decide_discard(AGGRESSIVE, obs_with_hand([], phase=Phase.DISCARD))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
@@ -171,16 +178,43 @@ class TestDecideJhyap:
         assert decide_jhyap(OPPORTUNISTIC, nine_behind, rng) is True
         assert decide_jhyap(OPPORTUNISTIC, behind, rng) is True
 
+    def test_adaptive_profile_keeps_its_overrides(self):
+        # ahead, the profile plays as configured, threshold 5; behind, one
+        # point looser at 6
+        profile = make_profile("opportunistic", jhyap_threshold=5)
+        rng = random.Random(0)
+        for hand, ahead, behind in [(("2H", "5C"), False, False), (("2H", "4C"), False, True),
+                                    (("2H", "3C"), True, True)]:  # V = 7, 6, 5
+            assert decide_jhyap(profile, obs_with_hand(cards(*hand), own_coins=10_500),
+                                rng) is ahead
+            assert decide_jhyap(profile, obs_with_hand(cards(*hand), own_coins=9_000),
+                                rng) is behind
+        # a low-value preference: ahead, the ace goes; behind, at p_h=0.3, the king
+        profile = make_profile("opportunistic", high_value_preference=-1)
+        hand = cards("KH", "QS", "3D", "2C", "AH")
+        ahead = obs_with_hand(hand, phase=Phase.DISCARD, own_coins=10_500)
+        behind = obs_with_hand(hand, phase=Phase.DISCARD, own_coins=9_000)
+        assert decide_discard(profile, ahead) == single(c("AH"))
+        assert decide_discard(profile, behind) == single(c("KH"))
+
 
 class TestOpportunisticAdapt:
+    """Which profile plays: the profile itself at or above the table
+    average, its ``behind`` profile below it."""
+
     def test_ahead(self):
-        assert opportunistic_adapt(10_500, 10_000) == (1.2, 0.8, 8)
+        obs = obs_with_hand(cards("KH"), own_coins=10_500)
+        assert playing_profile(OPPORTUNISTIC, obs) is OPPORTUNISTIC
 
     def test_behind(self):
-        assert opportunistic_adapt(9_000, 10_000) == (0.8, 0.3, 9)
+        obs = obs_with_hand(cards("KH"), own_coins=9_000)
+        behind = playing_profile(OPPORTUNISTIC, obs)
+        assert behind == replace(OPPORTUNISTIC, high_value_preference=0.3, jhyap_threshold=9)
+        assert playing_profile(OPPORTUNISTIC, obs) is behind  # built once
 
     def test_tie_counts_as_ahead(self):
-        assert opportunistic_adapt(10_000, 10_000) == (1.2, 0.8, 8)
+        obs = obs_with_hand(cards("KH"), own_coins=10_000)
+        assert playing_profile(OPPORTUNISTIC, obs) is OPPORTUNISTIC
 
 
 class TestDecideDiscard:
@@ -196,10 +230,15 @@ class TestDecideDiscard:
 
     @pytest.mark.parametrize("risk", [0.25, 0.8, 1.0, 1.7, 3.0])
     def test_positive_risk_scaling_never_changes_choice(self, risk):
-        obs = obs_with_hand(cards("KH", "QS", "3D", "2C", "AH"), phase=Phase.DISCARD)
-        baseline = decide_discard(AGGRESSIVE, obs)
-        scaled = make_profile("aggressive", risk_factor=risk)
-        assert decide_discard(scaled, obs) == baseline
+        # the paper's risk factor r is not modelled: the old formula scaled
+        # by any positive r picks what the unscaled rule picks
+        for hand in [("KH", "QS", "3D", "2C", "AH"), ("4H", "5H", "6H", "5C", "5D"),
+                     ("KH", "2C", "2D"), ("AH", "AD", "8C")]:
+            for coins in (9_000, 11_000):
+                obs = obs_with_hand(cards(*hand), phase=Phase.DISCARD, own_coins=coins)
+                for name in heuristics.PROFILES:
+                    assert decide_discard(make_profile(name), obs) == \
+                        old_reference_discard(name, obs, risk)
 
     def test_balanced_prefers_length_over_score(self):
         # the king single outscores the low pair, but balanced goes by length
@@ -244,28 +283,61 @@ class TestDecideDiscard:
         assert decide_discard(AGGRESSIVE, obs) == decide_discard(AGGRESSIVE, obs)
 
 
-def reference_discard(profile, observation):
+def reference_discard(profile, observation, score=discard_score):
     """``decide_discard`` as ``max`` over the card-level enumeration, with
-    ``discard_score`` in the key."""
-    if profile.adaptive:
-        profile = profile.adapted[
-            opportunistic_adapt(observation.own_coins, observation.avg_opponent_coins)
-        ]
+    ``score`` in the key. Behind the table average, an adaptive profile
+    plays with p_h=0.3."""
+    if profile.adaptive and observation.own_coins < observation.avg_opponent_coins:
+        profile = replace(profile, high_value_preference=0.3)
     hand = observation.own_hand
     groups = engine.enumerate_legal_discards(hand)
     if profile.selective_low_discards:
         groups = conservative_candidates(hand, groups)
     if profile.length_first_discards:
-        key = lambda g: (len(g.cards), discard_score(hand, g, profile), group_value(g))
+        key = lambda g: (len(g.cards), score(hand, g, profile), group_value(g))
     else:
-        key = lambda g: (discard_score(hand, g, profile), len(g.cards), group_value(g))
+        key = lambda g: (score(hand, g, profile), len(g.cards), group_value(g))
     return max(groups, key=key)
+
+
+# each stock profile's risk factor r in the scoring rule as it stood, and
+# opportunistic's r behind the table average
+OLD_RISK_FACTORS = {"aggressive": 1.2, "conservative": 0.8, "balanced": 1.0,
+                    "opportunistic": 1.2}
+OLD_RISK_BEHIND = 0.8
+
+
+def old_discard_score(hand, group, profile, risk) -> float:
+    """The scoring rule as it stood, with its guards and its factor r."""
+    total = engine.hand_value(hand)
+    value = group_value(group)
+    remaining = total - value
+    improvement = (max(0.0, (total - remaining) / total) * 10.0) if total else 0.0
+    score = (
+        value * profile.high_value_preference
+        + len(group.cards) * profile.multi_card_bonus
+        + (profile.sequence_bonus if group.kind is GroupKind.SEQUENCE else 0.0)
+        + (50.0 if remaining <= engine.JHYAP_THRESHOLD else 0.0)
+        + improvement
+    )
+    return score * risk
+
+
+def old_reference_discard(name, observation, risk=None):
+    """Stock profile ``name``'s discard under the old scoring rule, at its
+    own risk factor or at ``risk``."""
+    if risk is None:
+        behind = observation.own_coins < observation.avg_opponent_coins
+        risk = OLD_RISK_BEHIND if name == "opportunistic" and behind else OLD_RISK_FACTORS[name]
+    return reference_discard(
+        make_profile(name), observation,
+        lambda hand, group, profile: old_discard_score(hand, group, profile, risk))
 
 
 # the stock profiles, and each with a sign or a weight turned: a preference
 # for low values, a penalty per card, both (which makes the best discard the
-# lowest single, tied whenever the hand holds two of that rank), and no score
-# at all
+# lowest single, tied whenever the hand holds two of that rank), and no
+# sequence bonus (which ties a run with a set of the same count and value)
 DISCARD_PROFILES = [
     make_profile(name, **override)
     for name in heuristics.PROFILES
@@ -274,7 +346,7 @@ DISCARD_PROFILES = [
         {"high_value_preference": -1},
         {"multi_card_bonus": -3},
         {"high_value_preference": -1, "multi_card_bonus": -3},
-        {"risk_factor": 0},
+        {"sequence_bonus": 0},
     )
 ]
 
@@ -310,6 +382,16 @@ class TestDecideDiscardMatchesReference:
     def test_same_choice_under_the_low_card_filter(self, hand, in_order, profile):
         self.check(hand, in_order, profile, 10_000)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        patterned_hands(),
+        st.sampled_from(list(heuristics.PROFILES)),
+        st.sampled_from([9_000, 10_000, 11_000]),
+    )
+    def test_same_choice_as_the_old_rule_with_its_risk_factor(self, hand, name, coins):
+        obs = obs_with_hand(hand, phase=Phase.DISCARD, own_coins=coins)
+        assert decide_discard(make_profile(name), obs) == old_reference_discard(name, obs)
+
     @staticmethod
     def check(hand, in_order, profile, coins):
         obs = obs_with_hand(hand, phase=Phase.DISCARD, own_coins=coins)
@@ -318,12 +400,13 @@ class TestDecideDiscardMatchesReference:
         assert decide_discard(profile, obs) == reference_discard(profile, obs)
 
     def test_ties_keep_the_first_candidate(self):
-        # risk_factor=0 scores every candidate 0, so the key falls to the
-        # card count and the value: the set of fives and the run through
-        # 5H tie at 3 cards and 15 points, and the set comes first
-        profile = make_profile("aggressive", risk_factor=0)
+        # with no sequence bonus, the set of fives and the run through 5H
+        # tie at 77.0, 3 cards and 15 points, and the set comes first;
+        # stock aggressive picks the run
+        profile = make_profile("aggressive", sequence_bonus=0)
         obs = obs_with_hand(cards("4H", "5H", "6H", "5C", "5D"), phase=Phase.DISCARD)
         assert decide_discard(profile, obs) == make_group(cards("5C", "5D", "5H"))
+        assert decide_discard(AGGRESSIVE, obs) == make_group(cards("4H", "5H", "6H"))
         # a low preference and a card penalty make the best discard a low
         # single; the two deuces tie, and clubs come first
         profile = make_profile("aggressive", high_value_preference=-1, multi_card_bonus=-3)
@@ -429,7 +512,8 @@ class TestAgentAdapter:
 
     @pytest.mark.parametrize("override", [
         {"pick_threshold": "4"}, {"jhyap_threshold": True}, {"secondary_pick_threshold": 2.0},
-        {"risk_factor": None}, {"risk_factor": float("nan")}, {"sequence_bonus": float("inf")},
+        {"multi_card_bonus": None}, {"multi_card_bonus": float("nan")},
+        {"sequence_bonus": float("inf")},
         {"high_value_preference": 10**400}, {"adaptive": 1}, {"selective_low_discards": "yes"},
         {"declare_probabilities": [[0, 5]]}, {"declare_probabilities": [[6, 5, 0.5]]},
         {"declare_probabilities": [[0, 5, 1.5]]}, {"declare_probabilities": [[0.0, 5, 1]]},
