@@ -389,13 +389,6 @@ class TestRunTournament:
         agents = [build_agent(spec) for spec in config.agents]
         with pytest.raises(ValueError, match="workers=2"):
             run_tournament(config, agents=agents)
-        # nor is an entry built: this lineup's checkpoint does not exist
-        config = TournamentConfig(
-            agents=["aggressive", "ismcts", {"kind": "ppo", "checkpoint": "ppo.json"},
-                    "random"],
-            rounds=2, workers=2)
-        with pytest.raises(ValueError, match="workers=2"):
-            run_tournament(config, agents=[RandomAgent() for _ in range(4)])
 
     def test_workers_leave_the_agents_to_the_pool(self, monkeypatch):
         built = []
@@ -425,6 +418,15 @@ class TestChampionship:
                                   rounds=2)
         with pytest.raises(ValueError, match="championship"):
             check_championship_lineup(config.agents)
+
+    def test_agents_with_workers_are_refused(self):
+        config = TournamentConfig(
+            agents=["aggressive", "ismcts", {"kind": "ppo", "checkpoint": "ppo.json"},
+                    "random"],
+            rounds=2, workers=2)
+        check_championship_lineup(config.agents)
+        with pytest.raises(ValueError, match="workers=2"):
+            run_tournament(config, agents=[RandomAgent() for _ in range(4)])
 
     def test_runs_with_correct_lineup(self, tmp_path):
         from dhumbal.learning import PPOAgentCore, PPOConfig, save_learning_checkpoint
