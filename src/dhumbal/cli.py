@@ -20,7 +20,7 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Optional
 
-from . import analytics, arena, heuristics, learning
+from . import analytics, arena, heuristics
 from .engine import (
     GameError,
     JHYAP_THRESHOLD,
@@ -160,6 +160,8 @@ def _lineup(args) -> list:
             "tournament learning needs exactly two --checkpoint files "
             "(ppo and dqn, in any order)"
         )
+    from . import learning  # loaded only by a command that trains or loads a learner
+
     agents = []
     for path in paths:
         kind, _ = learning.load_learning_checkpoint(path)
@@ -293,6 +295,8 @@ def _check_seed(seed: int) -> None:
 
 
 def cmd_train(args) -> int:
+    from . import learning  # see _lineup
+
     if args.episodes < 1:
         raise DataError(f"--episodes must be >= 1, got {args.episodes}")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:

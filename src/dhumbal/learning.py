@@ -32,6 +32,12 @@ Rewards: +1.0 per valid discard or pick, -10.0 for an invalid action
 the player's settlement coin delta when the round ends. ``RoundEnv`` is
 ``arena.play_round`` with the learner's seat played from outside, and
 ``checkpoint_select`` validates with ``arena.run_round``: one turn loop.
+
+A checkpoint is one JSON file: ``format_version``
+(``neuralnet.FORMAT_VERSION``), ``kind``, ``episode`` and the kind's
+``neuralnet`` net documents, ``net`` for DQN or ``actor`` and ``critic``
+for PPO. ``load_learning_checkpoint`` refuses a file of another version,
+saying to retrain, as it refuses a malformed one, with CheckpointError.
 """
 
 from __future__ import annotations
@@ -586,7 +592,9 @@ def default_opponents():
 
 
 def save_learning_checkpoint(kind: str, core, path: Path, episode: int) -> None:
-    doc: dict = {"format_version": 1, "kind": kind, "episode": episode}
+    """Write ``core``'s nets (DQN's ``net``, or PPO's ``actor`` and
+    ``critic``) as ``neuralnet`` net documents in one JSON file."""
+    doc: dict = {"format_version": nn.FORMAT_VERSION, "kind": kind, "episode": episode}
     if kind == "dqn":
         doc["net"] = nn.net_to_doc(core.net)
     else:
@@ -596,9 +604,16 @@ def save_learning_checkpoint(kind: str, core, path: Path, episode: int) -> None:
 
 
 def load_learning_checkpoint(path: Path):
-    """Returns (kind, nets dict) from a training checkpoint file."""
+    """Returns (kind, nets dict) from a training checkpoint file; raises
+    CheckpointError on a file of another format version, a malformed one
+    or one with a non-finite parameter."""
     try:
         doc = json.loads(Path(path).read_text())
+        version = doc["format_version"]
+        if version != nn.FORMAT_VERSION:
+            raise nn.CheckpointError(
+                f"format_version {version!r}, but this version of dhumbal reads only "
+                f"{nn.FORMAT_VERSION}; retrain it with `dhumbal train`")
         kind = doc["kind"]
         if kind == "dqn":
             nets = {"net": nn.net_from_doc(doc["net"])}
@@ -610,6 +625,8 @@ def load_learning_checkpoint(path: Path):
         else:
             raise nn.CheckpointError(f"unknown checkpoint kind {kind!r}")
         return kind, nets
+    except nn.CheckpointError as exc:
+        raise nn.CheckpointError(f"checkpoint {path}: {exc}") from None
     except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise nn.CheckpointError(f"malformed learning checkpoint {path}: {exc!r}") from exc
 

@@ -24,6 +24,16 @@ every float is the one the per-layer update gives
 optimizer's one scratch vector and the gradient vector hold its
 temporaries, so a training step allocates no parameter-sized array.
 
+A net document (``net_to_doc``) holds ``layer_dims``, ``activations``
+and ``parameters``: the base64 of the flat parameter vector as
+little-endian float64, in the layout above, so a loaded net has every
+float's bits, -0.0 and subnormals included. ``net_from_doc`` refuses a
+document whose activations are unknown, whose dims do not give one
+layer per activation, whose byte count is not ``8 * sum(out*in + out)``
+over the dims, or whose parameters are not all finite.
+``FORMAT_VERSION`` is the version of the checkpoint files that hold
+these documents.
+
 ``np`` is numpy, loaded on first use: importing this module (or
 ``learning``, which takes its ``np`` from here) only finds numpy, so the
 rule, search, report and play paths never load it. This is the one
@@ -226,43 +236,60 @@ def adam_step(net: DenseNet, state: AdamState) -> None:
     net.parameters -= s
 
 
-FORMAT_VERSION = 1
+# the version of the checkpoint documents that hold net documents; it
+# changes whenever net_to_doc's encoding does
+FORMAT_VERSION = 2
 
 
 def net_to_doc(net: DenseNet) -> dict:
-    """A versioned JSON-ready document; floats round-trip exactly."""
+    """A JSON-ready document: the layer dims, the activations and the flat
+    parameter vector as base64 of little-endian float64, so every float
+    keeps its bits."""
+    import base64  # loaded with the first checkpoint: play, search and report never need it
+
+    raw = net.parameters.astype("<f8", copy=False).tobytes()
     return {
-        "format_version": FORMAT_VERSION,
         "layer_dims": net.layer_dims,
         "activations": net.activations,
-        "weights": [layer.weights.tolist() for layer in net.layers],
-        "biases": [layer.biases.tolist() for layer in net.layers],
+        "parameters": base64.b64encode(raw).decode("ascii"),
     }
 
 
 def net_from_doc(doc: dict) -> DenseNet:
-    """Inverse of net_to_doc; raises CheckpointError on a malformed document."""
+    """Inverse of net_to_doc; raises CheckpointError on a malformed document
+    or a non-finite parameter."""
+    import base64
+
     try:
-        if doc["format_version"] != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported format_version {doc['format_version']}")
-        dims = doc["layer_dims"]
-        activations = doc["activations"]
-        layers = []
-        for index, activation in enumerate(activations):
-            if activation not in ACTIVATIONS:
-                raise CheckpointError(
-                    f"layer {index}: unknown activation {activation!r}"
-                )
-            weights = np.asarray(doc["weights"][index], dtype=np.float64)
-            biases = np.asarray(doc["biases"][index], dtype=np.float64)
-            if weights.shape != (dims[index + 1], dims[index]) or biases.shape != (
-                dims[index + 1],
-            ):
-                raise CheckpointError(
-                    f"layer {index}: shapes {weights.shape}/{biases.shape} do not "
-                    f"match dims {dims[index]}->{dims[index + 1]}"
-                )
-            layers.append(Layer(weights, biases, activation))
-        return DenseNet(layers)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CheckpointError(f"malformed checkpoint document: {exc!r}") from exc
+        dims, activations, text = doc["layer_dims"], doc["activations"], doc["parameters"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed net document: {exc!r}") from exc
+    if not (isinstance(dims, list) and isinstance(activations, list)):
+        raise CheckpointError("layer_dims and activations must be lists")
+    for index, activation in enumerate(activations):
+        if activation not in ACTIVATIONS:
+            raise CheckpointError(f"layer {index}: unknown activation {activation!r}")
+    if len(dims) != len(activations) + 1 or not all(type(d) is int and d >= 1 for d in dims):
+        raise CheckpointError(
+            f"layer_dims {dims!r} must be {len(activations) + 1} positive integers, "
+            f"one more than the {len(activations)} activations")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
+        raise CheckpointError(f"parameters are not base64: {exc}") from exc
+    expected = 8 * sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    if len(raw) != expected:
+        raise CheckpointError(
+            f"parameters hold {len(raw)} bytes; layer_dims {dims} need {expected}")
+    flat = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise CheckpointError(
+            f"{np.count_nonzero(~np.isfinite(flat))} parameters are not finite")
+    layers = []
+    end = 0
+    for fan_in, fan_out, activation in zip(dims, dims[1:], activations):
+        start, middle = end, end + fan_out * fan_in
+        end = middle + fan_out
+        layers.append(Layer(flat[start:middle].reshape(fan_out, fan_in),
+                            flat[middle:end], activation))
+    return DenseNet(layers)

@@ -484,6 +484,34 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("dhumbal: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-biases", "not finite"),
+        ("inf-weights", "not finite"),
+        ("version-1", "format_version 1"),
+        ("version-99", "format_version 99"),
+    ])
+    def test_bad_learning_checkpoint(self, tmp_path, capsys, fault, message):
+        """A checkpoint with a parameter that is not finite, or of another
+        format version, exits 2 before any round is played."""
+        ppo = learning.PPOAgentCore(learning.PPOConfig(), seed=1)
+        dqn = learning.DQNAgentCore(learning.DQNConfig(), seed=2)
+        if fault == "nan-biases":
+            dqn.net.layers[-1].biases[:] = float("nan")
+        elif fault == "inf-weights":
+            dqn.net.layers[0].weights[3, 5] = float("-inf")
+        ppo_path, dqn_path = tmp_path / "ppo.json", tmp_path / "dqn.json"
+        learning.save_learning_checkpoint("ppo", ppo, ppo_path, 1)
+        learning.save_learning_checkpoint("dqn", dqn, dqn_path, 1)
+        if fault.startswith("version-"):
+            doc = json.loads(dqn_path.read_text())
+            doc["format_version"] = int(fault.split("-")[1])
+            dqn_path.write_text(json.dumps(doc))
+        assert run_cli("tournament", "learning", "--rounds", 4,
+                       "--checkpoint", ppo_path, dqn_path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dhumbal: checkpoint {dqn_path}: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_championship_config_with_another_lineup(self, tmp_path, capsys):
         checkpoint = tmp_path / "ppo.json"
         learning.save_learning_checkpoint(

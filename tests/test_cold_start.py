@@ -1,7 +1,8 @@
 """numpy is a first-use import: the rule, search, report and play paths
 never load it, and learning loads it when it first computes. Those paths
-load no ``statistics`` either, nor the number modules it pulls in. Every module
-imports cleanly as the first one a fresh interpreter loads."""
+load no ``statistics`` either, nor the number modules it pulls in, nor
+``learning`` itself. Every module imports cleanly as the first one a fresh
+interpreter loads."""
 
 from __future__ import annotations
 
@@ -19,20 +20,23 @@ from dhumbal import learning, neuralnet as nn
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a fresh interpreter: play and report without numpy or statistics, then learn
-# with numpy
+# a fresh interpreter: play and report without learning, numpy or statistics,
+# then learn with numpy
 COLD_START = """
 import json, random, sys
 from contextlib import redirect_stdout
 from io import StringIO
 
-from dhumbal import cli, learning, neuralnet as nn, search
+from dhumbal import cli, neuralnet as nn, search
 
 with redirect_stdout(StringIO()):
     assert cli.main(["tournament", "rule", "--rounds", "2", "--out", "run"]) == 0
     assert cli.main(["report", "--records", "run/records.csv"]) == 0
 before = sorted(name for name in sys.modules if name.startswith("numpy.") or name in (
-    "statistics", "_statistics", "fractions", "decimal", "_decimal", "numbers"))
+    "statistics", "_statistics", "fractions", "decimal", "_decimal", "numbers",
+    "dhumbal.learning"))
+
+from dhumbal import learning
 
 core = learning.DQNAgentCore(learning.DQNConfig(), seed=3)
 env = learning.RoundEnv(learning.default_opponents(), random.Random(4))

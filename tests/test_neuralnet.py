@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import base64
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhumbal import learning
@@ -394,11 +396,11 @@ class TestCheckpoints:
     def test_shape_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
         doc = nn.net_to_doc(random_net(rng))
-        doc["weights"][0] = [[1.0, 2.0]]
+        doc["layer_dims"][1] = 2  # 4-2-2 needs 16 parameters, and the vector holds 23
         path = tmp_path / "dqn.json"
         path.write_text(json.dumps(
-            {"format_version": 1, "kind": "dqn", "episode": 1, "net": doc}))
-        with pytest.raises(nn.CheckpointError):
+            {"format_version": nn.FORMAT_VERSION, "kind": "dqn", "episode": 1, "net": doc}))
+        with pytest.raises(nn.CheckpointError, match="184 bytes"):
             learning.load_learning_checkpoint(path)
 
     def test_unknown_activation_rejected(self):
@@ -406,6 +408,110 @@ class TestCheckpoints:
         doc["activations"][0] = "tanh"
         with pytest.raises(nn.CheckpointError, match="tanh"):
             nn.net_from_doc(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=23, max_size=23))
+    @example(values=[-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     -2.225073858507201e-308, 2.2250738585072014e-308,
+                     np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0,
+                     *np.random.default_rng(7).normal(scale=3.0, size=12)])
+    def test_file_round_trip_keeps_every_bit(self, tmp_path_factory, values):
+        """Save -> file -> load gives the same 64 bits for every parameter:
+        -0.0, subnormals and the largest floats included."""
+        net = random_net(np.random.default_rng(0))
+        net.parameters[:] = values
+        path = tmp_path_factory.mktemp("bits") / "dqn.json"
+        learning.save_learning_checkpoint("dqn", SimpleNamespace(net=net), path, episode=1)
+        kind, nets = learning.load_learning_checkpoint(path)
+        loaded = nets["net"]
+        assert kind == "dqn"
+        assert loaded.layer_dims == net.layer_dims
+        assert loaded.activations == net.activations
+        assert loaded.parameters.tobytes() == net.parameters.tobytes()
+        # the loaded net owns a writable vector of its own, as a trained one does
+        loaded.parameters[0] = 1.5
+        assert loaded.layers[0].weights[0, 0] == 1.5
+
+    @pytest.mark.parametrize("fault, message", [
+        ("bad-character", "not base64"),
+        ("bad-padding", "not base64"),
+        ("not-a-string", "not base64"),
+        ("one-float-short", "176 bytes"),
+        ("one-dim-more", "one more than the 2 activations"),
+        ("one-activation-more", "one more than the 3 activations"),
+        ("zero-width", "positive integers"),
+        ("float-dim", "positive integers"),
+        ("dims-not-a-list", "must be lists"),
+        ("no-parameters", "parameters"),
+        ("nan", "1 parameters are not finite"),
+        ("inf", "2 parameters are not finite"),
+    ])
+    def test_malformed_net_document_refused(self, fault, message):
+        net = random_net(np.random.default_rng(2))
+        if fault == "nan":
+            net.layers[1].biases[0] = np.nan
+        elif fault == "inf":
+            net.layers[0].weights[1, 2] = np.inf
+            net.layers[0].weights[2, 1] = -np.inf
+        doc = nn.net_to_doc(net)
+        text = doc["parameters"]
+        if fault == "bad-character":
+            doc["parameters"] = "*" + text[1:]
+        elif fault == "bad-padding":
+            doc["parameters"] = text[:-1]
+        elif fault == "not-a-string":
+            doc["parameters"] = 5
+        elif fault == "one-float-short":
+            doc["parameters"] = base64.b64encode(base64.b64decode(text)[:-8]).decode()
+        elif fault == "one-dim-more":
+            doc["layer_dims"].append(2)
+        elif fault == "one-activation-more":
+            doc["activations"].append("linear")
+        elif fault == "zero-width":
+            doc["layer_dims"][1] = 0
+        elif fault == "float-dim":
+            doc["layer_dims"][1] = 3.0
+        elif fault == "dims-not-a-list":
+            doc["layer_dims"] = "4-3-2"
+        elif fault == "no-parameters":
+            del doc["parameters"]
+        with pytest.raises(nn.CheckpointError, match=message):
+            nn.net_from_doc(doc)
+
+    @pytest.mark.parametrize("version", [1, 3, 99, "2", None])
+    def test_other_format_version_refused(self, tmp_path, version):
+        """A checkpoint of another version is refused with a message to
+        retrain; version 1 stored each layer's weights and biases as
+        nested float lists under a versioned net document."""
+        net = random_net(np.random.default_rng(2))
+        if version == 1:
+            doc = {"format_version": 1, "kind": "dqn", "episode": 1, "net": {
+                "format_version": 1,
+                "layer_dims": net.layer_dims,
+                "activations": net.activations,
+                "weights": [layer.weights.tolist() for layer in net.layers],
+                "biases": [layer.biases.tolist() for layer in net.layers],
+            }}
+        else:
+            doc = {"format_version": version, "kind": "dqn", "episode": 1,
+                   "net": nn.net_to_doc(net)}
+        path = tmp_path / "dqn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(nn.CheckpointError,
+                           match=rf"{re.escape(str(path))}: format_version "
+                                 rf"{re.escape(repr(version))}, .*retrain"):
+            learning.load_learning_checkpoint(path)
+
+    def test_checkpoint_without_a_version_refused(self, tmp_path):
+        path = tmp_path / "dqn.json"
+        learning.save_learning_checkpoint(
+            "dqn", SimpleNamespace(net=random_net(np.random.default_rng(2))), path, episode=1)
+        doc = json.loads(path.read_text())
+        del doc["format_version"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(nn.CheckpointError, match="format_version"):
+            learning.load_learning_checkpoint(path)
 
 
 class TestXorTraining:
