@@ -12,7 +12,11 @@ workload runs ``python3 perfbench/run.py --workload W --seed S+k --seconds T
 --trace 0`` once in each checkout, the parent first on even k and the
 change first on odd k, where S is the workload's entry in ``--seeds``. The
 runs go one at a time. Metric names, units, directions and bounds come from
-the change's BENCHMARK.json.
+the change's BENCHMARK.json. Before the first pair, ``python -m compileall
+-q src perfbench`` runs in both checkouts, so that both sides import from
+fresh bytecode even where ``PYTHONDONTWRITEBYTECODE`` keeps the runs from
+writing it: a stale ``.pyc`` is recompiled at every import, which costs
+time and memory on one side only.
 
 For each end-to-end metric the output gives both medians, the parent's
 inclusive quartiles, the change/parent ratio of the medians, the number of
@@ -39,13 +43,21 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def compile_trees(trees: dict, run=subprocess.run) -> None:
+    """Write fresh bytecode for the program and the benchmark in each tree."""
+    for tree in trees.values():
+        run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+            cwd=tree, check=True, capture_output=True)
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float,
+              run=subprocess.run) -> dict:
     """One untraced perfbench run in ``tree``: its result line, or the failure."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
-        done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
-                              timeout=4 * seconds + 300)
+        done = run(command, cwd=tree, capture_output=True, text=True,
+                   timeout=4 * seconds + 300)
     except subprocess.TimeoutExpired:
         return {"seed": seed, "correct": False, "error": "timed out"}
     lines = done.stdout.strip().splitlines()
@@ -157,7 +169,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def main(argv=None) -> int:
+def main(argv=None, run=subprocess.run) -> int:
+    """``run`` starts every child process, as ``subprocess.run`` does."""
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -176,20 +189,23 @@ def main(argv=None) -> int:
                   "side run from its own checkout, one run at a time; seeds " + ", ".join(
                       f"{w} {low}-{high}" for w, (low, high) in seed_ranges.items())
                   + "; quartiles are inclusive (linear) quartiles of the parent's runs; "
-                    "every run made is listed",
+                    "every run made is listed; src and perfbench compiled in both "
+                    "checkouts before the first pair (python -m compileall -q); "
+                    f"sys.flags.dont_write_bytecode = {sys.flags.dont_write_bytecode}",
         "claimed": claim,
         "workloads": {},
     }
+    compile_trees(trees, run)
     for workload, first_seed in zip(args.workloads, args.seeds):
         runs: dict = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             seed = first_seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                run = run_bench(trees[side], workload, seed, args.seconds)
-                runs[side].append(run)
+                result = run_bench(trees[side], workload, seed, args.seconds, run)
+                runs[side].append(result)
                 print(f"{workload} pair {pair} {side} seed {seed}: "
-                      f"{json.dumps(run.get('metrics', run.get('error')))}",
+                      f"{json.dumps(result.get('metrics', result.get('error')))}",
                       file=sys.stderr, flush=True)
             summary = summarize(metrics, runs)
             doc["workloads"][workload] = {

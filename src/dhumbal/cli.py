@@ -134,9 +134,10 @@ def _search_spec(kind: str, args) -> dict:
     return spec
 
 
-def _lineup(args) -> list:
+def _lineup(args) -> tuple[list, Optional[list]]:
     """The agent entries of a command run without --agents or a config
-    file's agents."""
+    file's agents, and the agents when reading the entries built them:
+    tournament learning learns each checkpoint's kind by loading it, once."""
     if args.command == "championship":
         if args.checkpoint is None:
             raise DataError(
@@ -147,11 +148,11 @@ def _lineup(args) -> list:
             "ismcts": _search_spec("ismcts", args),
             "ppo": {"kind": "ppo", "checkpoint": str(args.checkpoint)},
         }
-        return [entries.get(kind, kind) for kind in arena.CHAMPIONSHIP_LINEUP]
+        return [entries.get(kind, kind) for kind in arena.CHAMPIONSHIP_LINEUP], None
     if args.kind == "rule":
-        return list(heuristics.PROFILES)
+        return list(heuristics.PROFILES), None
     if args.kind == "search":
-        return [_search_spec(kind, args) for kind in arena.SEARCH_KINDS]
+        return [_search_spec(kind, args) for kind in arena.SEARCH_KINDS], None
     if args.kind == "custom":
         raise DataError("tournament custom needs --agents or a config file with agents")
     paths = args.checkpoint or []
@@ -162,16 +163,15 @@ def _lineup(args) -> list:
         )
     from . import learning  # loaded only by a command that trains or loads a learner
 
-    agents = []
-    for path in paths:
-        kind, _ = learning.load_learning_checkpoint(path)
-        agents.append({"kind": kind, "checkpoint": str(path)})
-    return agents
+    agents = [learning.RLAgent.from_checkpoint(path) for path in paths]
+    return [{"kind": agent.kind, "checkpoint": str(path)}
+            for agent, path in zip(agents, paths)], agents
 
 
-def _tournament_config(args) -> arena.TournamentConfig:
+def _tournament_config(args) -> tuple[arena.TournamentConfig, Optional[list]]:
     """Each setting from the flag if it was given, else from the config
-    file, else the command's lineup or TournamentConfig's default."""
+    file, else the command's lineup or TournamentConfig's default; and the
+    agents if the lineup built them."""
     doc = {}
     if args.config is not None:
         try:
@@ -183,9 +183,10 @@ def _tournament_config(args) -> arena.TournamentConfig:
     for key in ("agents", "rounds", "seed", "seating", "workers"):
         if getattr(args, key, None) is not None:  # championship has no --agents
             doc[key] = getattr(args, key)
-    lineup = []
+    lineup, agents = [], None
     if "agents" not in doc:
-        lineup = doc["agents"] = _lineup(args)
+        lineup, agents = _lineup(args)
+        doc["agents"] = lineup
     try:
         config = arena.TournamentConfig.from_doc(doc)
         if args.command == "championship":
@@ -193,7 +194,7 @@ def _tournament_config(args) -> arena.TournamentConfig:
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad tournament config: {exc}") from exc
     _check_agent_options(args, lineup)
-    return config
+    return config, agents
 
 
 def _check_agent_options(args, lineup) -> None:
@@ -271,8 +272,9 @@ def summary_to_csv(summary: analytics.MetricsSummary, path: Path) -> None:
 
 
 def cmd_tournament(args) -> int:
-    config = _tournament_config(args)
-    agents = _build_agents(config.agents)  # a bad entry exits 2 before any round
+    config, agents = _tournament_config(args)
+    if agents is None:
+        agents = _build_agents(config.agents)  # a bad entry exits 2 before any round
     if config.workers > 1:
         agents = None  # each pool worker builds its own from the config
     out_dir = args.out or default_out_dir()

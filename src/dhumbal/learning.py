@@ -33,11 +33,21 @@ the player's settlement coin delta when the round ends. ``RoundEnv`` is
 ``arena.play_round`` with the learner's seat played from outside, and
 ``checkpoint_select`` validates with ``arena.run_round``: one turn loop.
 
+DQN's ``ReplayBuffer`` keeps states in the encoding's layout: the
+one-hot and padding slots (0..105, 112..116) as uint8 and the six scalars
+as float64, 482 bytes a transition rather than 2,024. This holds
+``encode_state`` to its contract: every slot outside 106..111 is exactly
+0.0 or 1.0, and ``push`` refuses a state that breaks it, so ``sample``
+returns the float64 rows that were pushed, byte for byte.
+
 A checkpoint is one JSON file: ``format_version``
 (``neuralnet.FORMAT_VERSION``), ``kind``, ``episode`` and the kind's
 ``neuralnet`` net documents, ``net`` for DQN or ``actor`` and ``critic``
-for PPO. ``load_learning_checkpoint`` refuses a file of another version,
-saying to retrain, as it refuses a malformed one, with CheckpointError.
+for PPO. ``save_learning_checkpoint`` streams it, one net at a time
+through ``neuralnet.write_net_doc``, in the bytes ``json.dumps`` gives the
+whole document. ``load_learning_checkpoint`` refuses a file of another
+version, saying to retrain, as it refuses a malformed one, with
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -172,30 +182,75 @@ def legal_action_mask(observation: Observation) -> np.ndarray:
 
 # --- replay machinery ----------------------------------------------------
 
+# the encoding's six scalar slots; every other slot holds 0.0 or 1.0
+_SCALARS = slice(106, 112)
+_ONE_BITS = 0x3FF0_0000_0000_0000  # the bits of float64 1.0
+
+
+def _compact(state) -> tuple[np.ndarray, np.ndarray]:
+    """An encoded state in replay form: a bool row, True where a slot holds
+    1.0 (its scalar columns go unread), and the six scalars. Raises
+    ValueError when a one-hot or padding slot holds anything but exactly
+    0.0 or 1.0 (-0.0 included), so no value is rounded on the way in."""
+    state = np.ascontiguousarray(state, dtype=np.float64)
+    if state.shape != (STATE_DIM,):
+        raise ValueError(f"a state has shape ({STATE_DIM},), not {state.shape}")
+    bits = state.view(np.uint64)
+    ones = bits == _ONE_BITS
+    exact = ones | (bits == 0)
+    exact[_SCALARS] = True
+    if not exact.all():
+        slot = int(np.argmin(exact))
+        raise ValueError(f"state slot {slot} holds {float(state[slot])!r}; outside the scalars "
+                         f"106..111 encode_state writes exactly 0.0 or 1.0")
+    return ones, state[_SCALARS]
+
+
+def _expanded(flags: np.ndarray, scalars: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float64 states of ``rows``, rebuilt from their replay form."""
+    states = flags[rows].astype(np.float64)
+    states[:, _SCALARS] = scalars[rows]
+    return states
+
+
 class ReplayBuffer:
     """FIFO ring of transitions in preallocated row arrays, capacity 2000
     by default. Once the ring is full, each push overwrites the oldest
-    row, and the oldest transition sits at the row the next push writes."""
+    row, and the oldest transition sits at the row the next push writes.
+
+    A state (and a next state) is kept in ``encode_state``'s layout in 165
+    bytes rather than 936: every slot as uint8 (``state_flags``, whose
+    scalar columns go unread) and the six scalars 106..111 as float64
+    (``state_scalars``). ``push`` refuses a state whose other slots are
+    not exactly 0.0 or 1.0, so ``sample`` rebuilds the pushed float64 rows
+    byte for byte."""
 
     def __init__(self, capacity: int = 2000):
         # rows are read only once written, so the arrays start uninitialised
         # and only the pages of written rows are ever touched
         self.capacity = capacity
-        self.states = np.empty((capacity, STATE_DIM))
+        self.state_flags = np.empty((capacity, STATE_DIM), dtype=np.uint8)
+        self.state_scalars = np.empty((capacity, 6))
         self.actions = np.empty(capacity, dtype=np.intp)
         self.rewards = np.empty(capacity)
-        self.next_states = np.empty((capacity, STATE_DIM))
+        self.next_flags = np.empty((capacity, STATE_DIM), dtype=np.uint8)
+        self.next_scalars = np.empty((capacity, 6))
         self.dones = np.empty(capacity)  # 1.0 where the round ended
         self.next_masks = np.empty((capacity, NUM_ACTIONS), dtype=bool)  # for target maxes
         self.size = 0
         self.next_row = 0
 
     def push(self, state, action: int, reward: float, next_state, done: bool, next_mask) -> None:
+        # both states are checked before any row is written
+        state_ones, state_scalars = _compact(state)
+        next_ones, next_scalars = _compact(next_state)
         row = self.next_row
-        self.states[row] = state
+        self.state_flags[row] = state_ones
+        self.state_scalars[row] = state_scalars
         self.actions[row] = action
         self.rewards[row] = reward
-        self.next_states[row] = next_state
+        self.next_flags[row] = next_ones
+        self.next_scalars[row] = next_scalars
         self.dones[row] = done
         self.next_masks[row] = next_mask
         self.next_row = (row + 1) % self.capacity
@@ -204,13 +259,15 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: random.Random):
         """(states, actions, rewards, next_states, dones, next_masks) of
         ``batch_size`` transitions drawn without replacement, in the order
-        that ``rng.sample`` draws them from the transitions oldest first."""
+        that ``rng.sample`` draws them from the transitions oldest first.
+        The states come back as C-contiguous float64 rows."""
         rows = np.array(rng.sample(range(self.size), batch_size))
         if self.size == self.capacity:
             rows += self.next_row
             rows %= self.capacity
-        return (self.states[rows], self.actions[rows], self.rewards[rows],
-                self.next_states[rows], self.dones[rows], self.next_masks[rows])
+        return (_expanded(self.state_flags, self.state_scalars, rows), self.actions[rows],
+                self.rewards[rows], _expanded(self.next_flags, self.next_scalars, rows),
+                self.dones[rows], self.next_masks[rows])
 
     def __len__(self) -> int:
         return self.size
@@ -593,14 +650,16 @@ def default_opponents():
 
 def save_learning_checkpoint(kind: str, core, path: Path, episode: int) -> None:
     """Write ``core``'s nets (DQN's ``net``, or PPO's ``actor`` and
-    ``critic``) as ``neuralnet`` net documents in one JSON file."""
-    doc: dict = {"format_version": nn.FORMAT_VERSION, "kind": kind, "episode": episode}
-    if kind == "dqn":
-        doc["net"] = nn.net_to_doc(core.net)
-    else:
-        doc["actor"] = nn.net_to_doc(core.actor)
-        doc["critic"] = nn.net_to_doc(core.critic)
-    Path(path).write_text(json.dumps(doc))
+    ``critic``) as ``neuralnet`` net documents in one JSON file, streamed
+    one net at a time: the bytes of ``json.dumps`` of the whole document."""
+    nets = {"net": core.net} if kind == "dqn" else {"actor": core.actor, "critic": core.critic}
+    head = json.dumps({"format_version": nn.FORMAT_VERSION, "kind": kind, "episode": episode})
+    with open(path, "wb") as file:
+        file.write(head[:-1].encode("ascii"))  # the document stays open for the nets
+        for name, net in nets.items():
+            file.write(f", {json.dumps(name)}: ".encode("ascii"))
+            nn.write_net_doc(net, file)
+        file.write(b"}")
 
 
 def load_learning_checkpoint(path: Path):

@@ -27,7 +27,11 @@ temporaries, so a training step allocates no parameter-sized array.
 A net document (``net_to_doc``) holds ``layer_dims``, ``activations``
 and ``parameters``: the base64 of the flat parameter vector as
 little-endian float64, in the layout above, so a loaded net has every
-float's bits, -0.0 and subnormals included. ``net_from_doc`` refuses a
+float's bits, -0.0 and subnormals included. ``_net_doc`` and
+``_encoded_parameters`` define that encoding for both writers:
+``net_to_doc`` and ``write_net_doc``, which streams the document's
+``json.dumps`` bytes to a file, base64 straight from the vector's buffer,
+for learning checkpoints. ``net_from_doc`` refuses a
 document whose activations are unknown, whose dims do not give one
 layer per activation, whose byte count is not ``8 * sum(out*in + out)``
 over the dims, or whose parameters are not all finite.
@@ -174,7 +178,7 @@ def forward_cache(net: DenseNet, x: np.ndarray):
 def backward(net: DenseNet, cache, grad_output: np.ndarray):
     """Exact parameter gradients given dL/d(output). Writes one (dW, db)
     pair per layer, summed over the batch, into ``net.layer_gradients`` and
-    returns that list."""
+    returns that list; the gradient for the input is not computed."""
     inputs, pre, squeeze = cache
     grad = np.asarray(grad_output, dtype=np.float64)
     if squeeze:
@@ -185,7 +189,8 @@ def backward(net: DenseNet, cache, grad_output: np.ndarray):
         dw, db = net.layer_gradients[index]
         np.matmul(dz.T, inputs[index], out=dw)
         np.sum(dz, axis=0, out=db)
-        grad = dz @ layer.weights
+        if index:  # the gradient for the net's own input has no use
+            grad = dz @ layer.weights
     return net.layer_gradients
 
 
@@ -241,18 +246,37 @@ def adam_step(net: DenseNet, state: AdamState) -> None:
 FORMAT_VERSION = 2
 
 
+def _net_doc(net: DenseNet, parameters) -> dict:
+    return {"layer_dims": net.layer_dims, "activations": net.activations,
+            "parameters": parameters}
+
+
+def _encoded_parameters(net: DenseNet) -> bytes:
+    """The base64 of the flat parameter vector as little-endian float64,
+    encoded straight from the vector's buffer."""
+    import base64  # loaded with the first checkpoint: play, search and report never need it
+
+    return base64.b64encode(net.parameters.astype("<f8", copy=False).data)
+
+
 def net_to_doc(net: DenseNet) -> dict:
     """A JSON-ready document: the layer dims, the activations and the flat
     parameter vector as base64 of little-endian float64, so every float
     keeps its bits."""
-    import base64  # loaded with the first checkpoint: play, search and report never need it
+    return _net_doc(net, _encoded_parameters(net).decode("ascii"))
 
-    raw = net.parameters.astype("<f8", copy=False).tobytes()
-    return {
-        "layer_dims": net.layer_dims,
-        "activations": net.activations,
-        "parameters": base64.b64encode(raw).decode("ascii"),
-    }
+
+def write_net_doc(net: DenseNet, file) -> None:
+    """Write ``json.dumps(net_to_doc(net))`` to the binary ``file``, with
+    the base64 text going to the file as it was encoded: no ``str`` of it
+    and no whole-document string is made."""
+    import json
+
+    # "parameters" is the last key: the text ends in its empty string '""}'
+    text = json.dumps(_net_doc(net, ""))
+    file.write(text[:-2].encode("ascii"))
+    file.write(_encoded_parameters(net))
+    file.write(text[-2:].encode("ascii"))
 
 
 def net_from_doc(doc: dict) -> DenseNet:

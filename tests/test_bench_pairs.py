@@ -1,11 +1,15 @@
 """The pure functions of ``scripts/bench_pairs.py``, which judges every
 A/B performance claim: quartiles, bounds, the pair summary and the claim
 rule (the target ratio, at least ``ceil(0.9 * pairs)`` pairs won, and a
-median gap wider than the parent's interquartile range)."""
+median gap wider than the parent's interquartile range); and its driver,
+through a fake runner in place of ``subprocess.run``."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +170,41 @@ class TestJudgeClaim:
         summary = bench_pairs.summarize([HIGHER], paired_runs([1.0], [2.0]))
         claim = {"workload": "train-mix", "metric": "decision_ms_p50", "target_ratio": 0.9}
         assert bench_pairs.judge_claim(claim, LOWER, summary) == {**claim, "holds": False}
+
+
+class TestMain:
+    def test_both_trees_compiled_before_the_first_pair(self, tmp_path):
+        """compileall runs in each checkout before any benchmark run, and
+        the output's method says so and gives the bytecode flag."""
+        trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        (trees["change"] / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [HIGHER, LOWER]}))
+        calls = []
+
+        def fake_run(command, cwd, **kwargs):
+            calls.append((Path(cwd), command[1:]))
+            if "compileall" in command:
+                assert kwargs.get("check")
+                return subprocess.CompletedProcess(command, 0, b"", b"")
+            line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+                "turns_per_s": {"value": 100.0}, "peak_rss_mb": {"value": 40.0}}}
+            return subprocess.CompletedProcess(command, 0, json.dumps(line) + "\n", "")
+
+        out = tmp_path / "BENCH.json"
+        assert bench_pairs.main(
+            ["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+             "--workloads", "train-mix", "--seeds", "7", "--pairs", "2",
+             "--seconds", "1", "--out", str(out)], run=fake_run) == 0
+        compile_args = ["-m", "compileall", "-q", "src", "perfbench"]
+        assert calls[:2] == [(trees["parent"].resolve(), compile_args),
+                             (trees["change"].resolve(), compile_args)]
+        runs = calls[2:]
+        assert len(runs) == 4 and all(args[0] == "perfbench/run.py" for _, args in runs)
+        assert [cwd.name for cwd, _ in runs] == ["parent", "change", "change", "parent"]
+        doc = json.loads(out.read_text())
+        assert doc["method"].endswith(
+            f"sys.flags.dont_write_bytecode = {sys.flags.dont_write_bytecode}")
+        assert "compileall" in doc["method"]
+        assert doc["workloads"]["train-mix"]["pairs"] == 2

@@ -79,6 +79,30 @@ class TestTournamentCommand:
         assert len(records) == 3
         assert sorted(names) == ["dqn", "ppo"]
 
+    def test_learning_loads_each_checkpoint_once(self, tmp_path, monkeypatch):
+        """The checkpoint loaded for its kind is the agent that plays; the
+        config still names each file with its kind."""
+        ppo_path, dqn_path = tmp_path / "ppo.json", tmp_path / "dqn.json"
+        learning.save_learning_checkpoint(
+            "ppo", learning.PPOAgentCore(learning.PPOConfig(), seed=1), ppo_path, 1)
+        learning.save_learning_checkpoint(
+            "dqn", learning.DQNAgentCore(learning.DQNConfig(), seed=2), dqn_path, 1)
+        loaded = []
+        real = learning.load_learning_checkpoint
+
+        def spy(path):
+            kind, nets = real(path)
+            loaded.append(kind)
+            return kind, nets
+
+        monkeypatch.setattr(learning, "load_learning_checkpoint", spy)
+        assert run_cli("tournament", "learning", "--rounds", 2,
+                       "--checkpoint", ppo_path, dqn_path, "--out", tmp_path / "out") == 0
+        assert loaded == ["ppo", "dqn"]
+        config = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+        assert config["agents"] == [{"kind": "ppo", "checkpoint": str(ppo_path)},
+                                    {"kind": "dqn", "checkpoint": str(dqn_path)}]
+
     def test_rule_with_workers(self, tmp_path):
         # the command checks the agent entries, then leaves building the
         # agents to the pool workers

@@ -368,17 +368,32 @@ def reference_train_step(core, items: deque, rng: random.Random):
     return loss
 
 
+def encoded_state(rng: np.random.Generator, scalars=None) -> np.ndarray:
+    """A state in ``encode_state``'s layout: random 0.0/1.0 in the one-hot
+    and padding slots, and arbitrary floats (or ``scalars``) in 106..111."""
+    state = (rng.random(117) < 0.5).astype(np.float64)
+    state[106:112] = rng.normal(scale=3.0, size=6) if scalars is None else scalars
+    return state
+
+
 def random_transitions(rng: np.random.Generator, count: int):
-    """Distinct transitions with random states, actions, rewards, ends and
-    next masks (some with no legal index)."""
+    """Distinct transitions with random encoded states, actions, rewards,
+    ends and next masks (some with no legal index)."""
     for i in range(count):
-        yield (rng.normal(size=117), int(rng.integers(128)), float(i) + rng.normal(),
-               rng.normal(size=117), bool(rng.random() < 0.2), rng.random(128) < 0.1)
+        yield (encoded_state(rng), int(rng.integers(128)), float(i) + rng.normal(),
+               encoded_state(rng), bool(rng.random() < 0.2), rng.random(128) < 0.1)
+
+
+def buffer_bytes(buffer: ReplayBuffer) -> int:
+    return sum(a.nbytes for a in vars(buffer).values() if isinstance(a, np.ndarray))
 
 
 class TestReplayBuffer:
     def push_tagged(self, buffer: ReplayBuffer, tag: float) -> None:
-        buffer.push(np.full(117, tag), 0, tag, np.full(117, tag), False, np.zeros(128, bool))
+        """A transition whose reward and first scalar slot (106) are ``tag``."""
+        state = encoded_state(np.random.default_rng(int(tag)))
+        state[106] = tag
+        buffer.push(state, 0, tag, state, False, np.zeros(128, bool))
 
     def test_capacity_and_fifo(self):
         buffer = ReplayBuffer(2000)
@@ -390,7 +405,7 @@ class TestReplayBuffer:
         assert buffer.rewards[oldest - 1] == 2004.0
         in_order = np.roll(buffer.rewards, -oldest)
         assert np.array_equal(in_order, np.arange(5.0, 2005.0))
-        assert np.array_equal(np.roll(buffer.states, -oldest, axis=0)[:, 0], in_order)
+        assert np.array_equal(np.roll(buffer.state_scalars, -oldest, axis=0)[:, 0], in_order)
 
     def test_sample_without_replacement(self):
         buffer = ReplayBuffer(100)
@@ -399,8 +414,10 @@ class TestReplayBuffer:
         states, actions, rewards, next_states, dones, next_masks = buffer.sample(
             32, random.Random(0))
         assert len(set(rewards.tolist())) == 32
-        assert np.array_equal(states[:, 0], rewards)
+        assert np.array_equal(states[:, 106], rewards)
         assert states.shape == next_states.shape == (32, 117)
+        for batch in (states, next_states):
+            assert batch.dtype == np.float64 and batch.flags.c_contiguous
         assert next_masks.shape == (32, 128) and next_masks.dtype == bool
         assert actions.shape == dones.shape == (32,)
 
@@ -431,6 +448,42 @@ class TestReplayBuffer:
                 assert column.dtype == want.dtype
                 assert column.tobytes() == want.tobytes()
             assert rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, -0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("slot", [0, 104, 105, 112, 116])
+    def test_state_off_the_encoding_refused(self, value, slot):
+        """A one-hot or padding slot that is not exactly 0.0 or 1.0 is
+        refused, in a state or a next state, and the ring is left as it
+        was: the oldest transition of a full ring is not overwritten."""
+        buffer = ReplayBuffer(4)
+        for i in range(4):
+            self.push_tagged(buffer, float(i))
+        before = {name: a.copy() for name, a in vars(buffer).items() if isinstance(a, np.ndarray)}
+        bad = encoded_state(np.random.default_rng(3))
+        bad[slot] = value
+        good = encoded_state(np.random.default_rng(4))
+        mask = np.zeros(128, bool)
+        for state, next_state in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=f"state slot {slot} holds "):
+                buffer.push(state, 0, 9.0, next_state, False, mask)
+        assert len(buffer) == 4 and buffer.next_row == 0
+        for name, array in before.items():
+            assert getattr(buffer, name).tobytes() == array.tobytes(), name
+
+    def test_wrong_width_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(117,\)"):
+            ReplayBuffer(4).push(np.zeros(116), 0, 0.0, np.zeros(116), False,
+                                 np.zeros(128, bool))
+
+    def test_full_buffer_arrays_hold_at_most_1_1_mb(self):
+        """2,000 transitions in about 0.96 MB: 482 bytes each, against
+        2,024 for two float64 states (about 4.0 MB)."""
+        buffer = ReplayBuffer(2000)
+        for transition in random_transitions(np.random.default_rng(5), 2000):
+            buffer.push(*transition)
+        assert len(buffer) == 2000
+        assert buffer_bytes(buffer) <= 1_100_000
+        assert buffer_bytes(buffer) == 2000 * 482
 
     def test_train_step_matches_deque_reference(self):
         """The same core trained through the ring and through the deque
@@ -513,7 +566,7 @@ class TestDqnTrainStep:
 
     def test_terminal_batch_targets_equal_rewards(self):
         core = self.small_core()
-        s1, s2 = np.zeros(117), np.ones(117) * 0.5
+        s1, s2 = np.zeros(117), encoded_state(np.random.default_rng(1), scalars=0.5)
         mask = np.zeros(128, bool)
         buffer = self.filled_buffer(
             [
@@ -529,7 +582,7 @@ class TestDqnTrainStep:
     def test_gamma_zero_degenerates_to_rewards(self):
         cfg = DQNConfig(batch_size=2, gamma=0.0)
         core = DQNAgentCore(cfg, seed=5)
-        s1, s2 = np.zeros(117), np.ones(117) * 0.5
+        s1, s2 = np.zeros(117), encoded_state(np.random.default_rng(1), scalars=0.5)
         next_mask = np.ones(128, bool)
         buffer = self.filled_buffer(
             [
